@@ -28,12 +28,12 @@
 #include "data/index.h"
 #include "data/sort_index.h"
 #include "data/spill.h"
-#include "parallel/sharded_miner.h"
 #include "stats/chi_squared.h"
 #include "stats/fisher.h"
 #include "stream/window_miner.h"
 #include "synth/scaling.h"
 #include "synth/uci_like.h"
+#include "tests/common/reference_split.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -99,21 +99,6 @@ void BM_MedianInSelection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MedianInSelection);
-
-void BM_FindCombsTwoAxes(benchmark::State& state) {
-  const Fixture& f = SharedFixture();
-  int age = *f.nd.db.schema().IndexOf("age");
-  int hours = *f.nd.db.schema().IndexOf("hours_per_week");
-  core::Space space;
-  space.bounds = {{age, 18.0, 90.0}, {hours, 0.0, 99.0}};
-  space.rows = f.gi.base_selection();
-  std::vector<double> medians = core::PartitionMedians(f.nd.db, space);
-  for (auto _ : state) {
-    auto cells = core::FindCombs(f.nd.db, space, medians);
-    benchmark::DoNotOptimize(cells.data());
-  }
-}
-BENCHMARK(BM_FindCombsTwoAxes);
 
 void BM_ChiSquaredPresence(benchmark::State& state) {
   std::vector<double> counts = {321.0, 1743.0};
@@ -398,76 +383,6 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   json->SetCase("seeded_pruned_oe", seeded->counters.pruned_oe_measure);
 }
 
-// Sharded cold mine: the serial miner against the shard-merge engine
-// (4 row shards) on the same end-to-end mine. The sharded engine's
-// contract is byte-identity — the coordinator replays the serial
-// decision order and only the counting scans fan out — so beyond the
-// wall times this asserts the two pattern lists match exactly.
-void AddShardedColdMineCase(bench::BenchJson* json, bool smoke) {
-  synth::ScalingOptions opt;
-  opt.rows = smoke ? 8000 : 60000;
-  opt.continuous_features = 6;
-  opt.categorical_features = 2;
-  synth::NamedDataset nd = synth::MakeScalingDataset(opt);
-  auto attr = nd.db.schema().IndexOf(nd.group_attr);
-  SDADCS_CHECK(attr.ok());
-  auto gi_or = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
-  SDADCS_CHECK(gi_or.ok());
-  const data::GroupInfo& gi = *gi_or;
-
-  core::MinerConfig cfg;
-  cfg.max_depth = 2;
-  cfg.top_k = 10;
-  core::MineRequest req;
-  req.groups = &gi;
-  constexpr size_t kShards = 4;
-  constexpr int kReps = 3;
-
-  util::StatusOr<core::MiningResult> serial =
-      util::Status::Internal("unset");
-  double serial_sec = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    util::WallTimer timer;
-    serial = core::Miner(cfg).Mine(nd.db, req);
-    serial_sec = std::min(serial_sec, timer.Seconds());
-    SDADCS_CHECK(serial.ok());
-  }
-
-  parallel::ShardedMiner sharded_miner(cfg, kShards);
-  util::StatusOr<core::MiningResult> sharded =
-      util::Status::Internal("unset");
-  double sharded_sec = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    util::WallTimer timer;
-    sharded = sharded_miner.Mine(nd.db, req);
-    sharded_sec = std::min(sharded_sec, timer.Seconds());
-    SDADCS_CHECK(sharded.ok());
-  }
-
-  SDADCS_CHECK(sharded->contrasts.size() == serial->contrasts.size());
-  for (size_t i = 0; i < sharded->contrasts.size(); ++i) {
-    SDADCS_CHECK(sharded->contrasts[i].itemset.Key() ==
-                 serial->contrasts[i].itemset.Key());
-    SDADCS_CHECK(sharded->contrasts[i].measure ==
-                 serial->contrasts[i].measure);
-  }
-
-  const double speedup = sharded_sec > 0.0 ? serial_sec / sharded_sec : 0.0;
-  std::printf("\n== cold mine: serial vs sharded:%zu (%s rows) ==\n",
-              kShards, std::to_string(nd.db.num_rows()).c_str());
-  std::printf("serial %.4fs | sharded %.4fs | speedup %.2fx "
-              "(identical patterns)\n",
-              serial_sec, sharded_sec, speedup);
-
-  json->BeginCase("cold_mine_sharded");
-  json->SetCase("rows", static_cast<uint64_t>(nd.db.num_rows()));
-  json->SetCase("shards", static_cast<uint64_t>(kShards));
-  json->SetCase("serial_wall_seconds", serial_sec);
-  json->SetCase("sharded_wall_seconds", sharded_sec);
-  json->SetCase("sharded_speedup", speedup);
-  json->SetCase("patterns", static_cast<uint64_t>(serial->contrasts.size()));
-}
-
 // Chunked cold mine: the same end-to-end mine on the three storage
 // configurations — dense resident columns, resident columns re-sliced
 // into 4K-row chunks, and the mmap-backed paged backend with a byte cap
@@ -582,8 +497,9 @@ void AddChunkedColdMineCase(bench::BenchJson* json, bool smoke) {
 }
 
 // Fused-vs-naive split+count comparison on the Section 6 scaling
-// dataset. The naive reference is exactly the seed hot path: FindCombs
-// (per-cell Selection::Filter) followed by per-cell CountGroups. Writes
+// dataset. The naive reference is the tests' oracle splitter,
+// test_support::FindCombs (per-cell Selection::Filter), followed by
+// per-cell CountGroups. Writes
 // wall time, throughput, peak cell count and speedup per axis count to
 // BENCH_micro.json.
 void RunKernelComparison(bool smoke) {
@@ -630,7 +546,8 @@ void RunKernelComparison(bool smoke) {
     size_t peak_cells = 0;
     std::vector<core::GroupCounts> naive_counts;
     for (int rep = 0; rep < reps; ++rep) {
-      std::vector<core::Space> cells = core::FindCombs(nd.db, space, cuts);
+      std::vector<core::Space> cells =
+          test_support::FindCombs(nd.db, space, cuts);
       peak_cells = std::max(peak_cells, cells.size());
       naive_counts.clear();
       for (const core::Space& cell : cells) {
@@ -672,8 +589,9 @@ void RunKernelComparison(bool smoke) {
       SDADCS_CHECK(vsplit.counts[c].counts == naive_counts[c].counts);
       SDADCS_CHECK(vsplit.cells[c].rows.rows() ==
                    split.cells[c].rows.rows());
-      SDADCS_CHECK(split.cells[c].rows.rows() ==
-                   core::FindCombs(nd.db, space, cuts)[c].rows.rows());
+      SDADCS_CHECK(
+          split.cells[c].rows.rows() ==
+          test_support::FindCombs(nd.db, space, cuts)[c].rows.rows());
     }
 
     const double total_rows =
@@ -700,7 +618,6 @@ void RunKernelComparison(bool smoke) {
   }
   json.Set("min_speedup", min_speedup);
   AddColdMineCases(&json, smoke);
-  AddShardedColdMineCase(&json, smoke);
   AddChunkedColdMineCase(&json, smoke);
   json.Write();
 }

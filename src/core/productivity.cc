@@ -5,7 +5,6 @@
 
 #include "core/match_kernel.h"
 #include "core/pruning.h"
-#include "core/shard_exec.h"
 #include "core/support.h"
 #include "stats/chi_squared.h"
 #include "stats/fisher.h"
@@ -15,10 +14,10 @@ namespace sdadcs::core {
 
 namespace {
 
-// Per-group counts of `itemset` over the analysis rows (shard-merged
-// when the run has a shard plan — the merged counts are exact).
-GroupCounts CountOverBase(MiningContext& ctx, const Itemset& itemset) {
-  return CountMatchesSharded(ctx, itemset, ctx.gi->base_selection());
+// Per-group counts of `itemset` over the analysis rows.
+GroupCounts CountOverBase(const MiningContext& ctx, const Itemset& itemset) {
+  return CountMatchesKernel(*ctx.db, *ctx.gi, itemset,
+                            ctx.gi->base_selection(), ctx.kernel);
 }
 
 // Chi-square (or Fisher when sparse) test that parts `a` and `b` of a
@@ -26,8 +25,8 @@ GroupCounts CountOverBase(MiningContext& ctx, const Itemset& itemset) {
 bool PartsDependentInGroup(MiningContext& ctx, const Itemset& a,
                            const Itemset& b, int g, double alpha) {
   const data::GroupInfo& gi = *ctx.gi;
-  Contingency2x2 ct =
-      CountPartsInGroupSharded(ctx, a, b, g, gi.base_selection());
+  Contingency2x2 ct = CountPartsInGroupKernel(*ctx.db, gi, a, b, g,
+                                              gi.base_selection(), ctx.kernel);
   const double n11 = ct.n11;  // a & b
   const double n10 = ct.n10;  // a & !b
   const double n01 = ct.n01;  // !a & b
@@ -118,7 +117,7 @@ std::vector<ContrastPattern> FilterIndependentlyProductive(
       // Residual cover of i outside j must remain a significant contrast,
       // else i was "found only because of" the extra items of j.
       data::Selection residual = covers[i].Minus(covers[j]);
-      GroupCounts gc = CountGroupsSharded(ctx, residual);
+      GroupCounts gc = CountGroups(*ctx.gi, residual);
       ++ctx.counters->chi2_tests;
       stats::ChiSquaredResult res =
           stats::ChiSquaredPresenceTest(gc.counts, ctx.group_sizes);

@@ -21,7 +21,8 @@ std::string CsvEscape(const std::string& s) {
   return out;
 }
 
-// Escapes a string for JSON.
+// Escapes a string for JSON. Every control character is escaped, so the
+// rendered document never contains a raw line break.
 std::string JsonEscape(const std::string& s) {
   std::string out;
   for (char c : s) {
@@ -36,7 +37,13 @@ std::string JsonEscape(const std::string& s) {
         out += "\\n";
         break;
       default:
-        out += c;
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += util::StrFormat("\\u%04x",
+                                 static_cast<unsigned>(
+                                     static_cast<unsigned char>(c)));
+        } else {
+          out += c;
+        }
     }
   }
   return out;
@@ -148,8 +155,8 @@ std::string PatternsToJson(const data::Dataset& db,
   std::string out = "[";
   for (size_t i = 0; i < patterns.size(); ++i) {
     const ContrastPattern& p = patterns[i];
-    if (i > 0) out += ",";
-    out += "\n  {\"items\": [";
+    if (i > 0) out += ", ";
+    out += "{\"items\": [";
     for (size_t j = 0; j < p.itemset.size(); ++j) {
       const Item& it = p.itemset.item(j);
       if (j > 0) out += ", ";
@@ -173,7 +180,7 @@ std::string PatternsToJson(const data::Dataset& db,
            ", \"purity\": " + JsonNumber(p.purity) +
            ", \"p_value\": " + JsonNumber(p.p_value) + "}";
   }
-  out += "\n]";
+  out += "]";
   return out;
 }
 

@@ -26,7 +26,8 @@ std::string PatternsToCsv(const data::Dataset& db,
                           const data::GroupInfo& gi,
                           const std::vector<ContrastPattern>& patterns);
 
-/// Serializes patterns to a JSON array (hand-rolled, no dependencies):
+/// Serializes patterns to a JSON array on one line (hand-rolled, no
+/// dependencies), so it can ride inside one ND-JSON frame:
 /// [{"items":[{"attr":"age","lo":18,"hi":26}, ...],
 ///   "supports":{"Doctorate":0.0,...}, "diff":..., "purity":...,
 ///   "p_value":...}, ...]

@@ -56,7 +56,6 @@ constexpr struct {
     {EngineKind::kBinnedSrikant, "binned:srikant"},
     {EngineKind::kBinnedEqualWidth, "binned:equal_width"},
     {EngineKind::kBinnedEqualFreq, "binned:equal_freq"},
-    {EngineKind::kSharded, "sharded"},
 };
 
 }  // namespace
@@ -77,43 +76,6 @@ util::StatusOr<EngineKind> EngineKindFromString(const std::string& name) {
   }
   return util::Status::InvalidArgument("unknown engine '" + name +
                                        "'; expected one of: " + known);
-}
-
-util::StatusOr<EngineSpec> EngineSpecFromString(const std::string& name) {
-  EngineSpec spec;
-  // Exact table names first, so plain "sharded" (count resolved
-  // downstream) parses without touching the suffix path.
-  if (auto kind = EngineKindFromString(name); kind.ok()) {
-    spec.kind = *kind;
-    return spec;
-  }
-  constexpr const char kShardedPrefix[] = "sharded:";
-  constexpr size_t kPrefixLen = sizeof(kShardedPrefix) - 1;
-  if (name.compare(0, kPrefixLen, kShardedPrefix) == 0) {
-    const std::string count = name.substr(kPrefixLen);
-    size_t value = 0;
-    bool digits = !count.empty() && count.size() <= 6;
-    for (char c : count) {
-      if (c < '0' || c > '9') {
-        digits = false;
-        break;
-      }
-      value = value * 10 + static_cast<size_t>(c - '0');
-    }
-    if (!digits || value == 0) {
-      return util::Status::InvalidArgument(
-          "engine '" + name +
-          "': sharded:<n> requires a positive shard count");
-    }
-    spec.kind = EngineKind::kSharded;
-    spec.shard_count = value;
-    return spec;
-  }
-  // Re-raise the kind parser's error so the caller sees the full list
-  // of accepted names, extended with the parameterized form.
-  util::Status status = EngineKindFromString(name).status();
-  return util::Status::InvalidArgument(status.message() +
-                                       ", sharded:<n>");
 }
 
 std::string RequestKey::ToString() const {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/optimistic.h"
-#include "core/shard_exec.h"
 #include "core/support.h"
 #include "stats/chi_squared.h"
 #include "util/logging.h"
@@ -182,26 +181,15 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
   std::vector<ContrastPattern> d;       // contrasts (Line 2)
   std::vector<ContrastPattern> d_temp;  // maybe-contrasts (Line 3)
 
-  // Split the space and count the children. The columnar path computes
-  // each row's cell in one pass and fuses the per-cell group counting
-  // into that same pass; the naive reference path (one Filter scan per
-  // cell, then one CountGroups scan per cell) is kept behind the switch
-  // so the differential tests can prove the outputs bit-identical.
-  std::vector<double> cuts;
-  std::vector<Space> cells;
-  std::vector<GroupCounts> fused_counts;
-  if (cfg.columnar_kernels) {
-    cuts = PartitionCuts(*ctx.db, call.space, cfg.split,
-                         &ctx.split_scratch.values, ctx.prepared,
-                         &ctx.split_scratch.ranks, &ctx.split_scratch.select,
-                         ctx.kernel == KernelKind::kAvx2);
-    SplitResult split = SplitAndCountSharded(ctx, call.space, cuts);
-    cells = std::move(split.cells);
-    fused_counts = std::move(split.counts);
-  } else {
-    cuts = PartitionCuts(*ctx.db, call.space, cfg.split);
-    cells = FindCombs(*ctx.db, call.space, cuts);
-  }
+  // Split the space and count the children: one pass computes each
+  // row's cell and fuses the per-cell group counting into it.
+  const std::vector<double> cuts = PartitionCuts(
+      *ctx.db, call.space, cfg.split, &ctx.split_scratch.values,
+      ctx.prepared, &ctx.split_scratch.ranks, &ctx.split_scratch.select,
+      ctx.kernel == KernelKind::kAvx2);
+  SplitResult split = SplitAndCount(*ctx.db, *ctx.gi, call.space, cuts,
+                                    &ctx.split_scratch, ctx.kernel);
+  const std::vector<Space>& cells = split.cells;
   if (cells.empty()) return {};
 
   const int item_count = static_cast<int>(call.cat_items.size() +
@@ -223,9 +211,7 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
       continue;
     }
 
-    GroupCounts gc = cfg.columnar_kernels
-                         ? std::move(fused_counts[ci])
-                         : CountGroupsSharded(ctx, cell.rows);
+    GroupCounts gc = std::move(split.counts[ci]);
     std::vector<double> supports = gc.Supports(*ctx.gi);
     double diff = SupportDifference(supports);
     double purity = PurityRatio(supports);
@@ -279,14 +265,14 @@ std::vector<ContrastPattern> RunSdadCs(MiningContext& ctx,
       if (MeasureNeedsTrivialBound(cfg.measure)) {
         oe = gc.total() > 0.0 ? 1.0 : 0.0;
       } else {
-        // The bound inputs flow through the mergeable accumulator even
-        // on this (already merged) path, so the serial and sharded
-        // engines feed OptimisticMeasure bit-identical arithmetic.
-        OptimisticInputAccumulator oe_acc(gc.counts.size());
-        oe_acc.Accumulate(gc);
-        oe = OptimisticMeasure(std::move(oe_acc).Finalize(
-            call.outer_db_size, call.level,
-            static_cast<int>(call.cont_attrs.size()), ctx.group_sizes));
+        OptimisticInput in;
+        in.db_size = call.outer_db_size;
+        in.level = call.level;
+        in.num_continuous = static_cast<int>(call.cont_attrs.size());
+        in.counts = gc.counts;
+        in.space_total = gc.total();
+        in.group_sizes = ctx.group_sizes;
+        oe = OptimisticMeasure(in);
       }
       if (oe <= ctx.topk->threshold()) {
         ++counters.pruned_oe_measure;

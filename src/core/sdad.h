@@ -16,8 +16,6 @@
 
 namespace sdadcs::core {
 
-struct ShardExec;
-
 /// Shared state of one mining run, threaded through the search tree and
 /// every SDAD-CS recursion. Not thread-safe: parallel workers each get
 /// their own context.
@@ -44,12 +42,6 @@ struct MiningContext {
   /// context (i.e. by one mining thread) and recycled across the whole
   /// SDAD-CS recursion.
   SplitScratch split_scratch;
-  /// Shard fan-out state (core/shard_exec.h), set only by the sharded
-  /// engine. Null = every counting scan runs inline on this thread.
-  /// Decision logic never reads this: the sharded counting wrappers
-  /// return merged statistics bit-identical to an inline scan, so the
-  /// search is oblivious to how its scans were executed.
-  const ShardExec* shards = nullptr;
   /// This thread's view of the run's deadline / cancellation / budget
   /// handle. Default-constructed = unlimited. Checkpoints sit at node
   /// granularity (one per evaluated partition or itemset), never inside

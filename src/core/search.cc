@@ -7,7 +7,6 @@
 #include "core/match_kernel.h"
 #include "core/optimistic.h"
 #include "core/productivity.h"
-#include "core/shard_exec.h"
 #include "core/support.h"
 #include "stats/chi_squared.h"
 #include "util/logging.h"
@@ -204,7 +203,9 @@ void LatticeSearch::EnumerateCategorical(const std::vector<int>& cat_attrs,
     // pass. Partial-itemset minimum deviation: supports only shrink as
     // items are added, so a below-δ prefix can be abandoned outright.
     GroupCounts gc;
-    data::Selection sub = FilterCountItemSharded(ctx_, item, rows, &gc);
+    data::Selection sub =
+        FilterCountItemKernel(*ctx_.db, *ctx_.gi, item, rows, &gc,
+                              ctx_.kernel);
     if (BelowMinimumDeviation(gc.Supports(*ctx_.gi), ctx_.cfg->delta)) {
       if (ctx_.cfg->meaningful_pruning) {
         ctx_.prune_table->Insert(candidate, PruneReason::kMinSupport);
@@ -226,7 +227,7 @@ void LatticeSearch::EvaluateCategoricalLeaf(const Itemset& itemset,
   const MinerConfig& cfg = *ctx_.cfg;
   ++counters.partitions_evaluated;
 
-  GroupCounts gc = CountGroupsSharded(ctx_, rows);
+  GroupCounts gc = CountGroups(*ctx_.gi, rows);
   std::vector<double> supports = gc.Supports(*ctx_.gi);
   double diff = SupportDifference(supports);
   double purity = PurityRatio(supports);
@@ -316,8 +317,8 @@ void LatticeSearch::EvaluateSdadLeaf(const Itemset& cat_items,
     call.space.bounds.push_back({attr, it->second.lo, it->second.hi});
   }
   GroupCounts root_counts;
-  call.space.rows =
-      FilterAllPresentSharded(ctx_, cont_attrs, rows, &root_counts);
+  call.space.rows = FilterAllPresentKernel(*ctx_.db, *ctx_.gi, cont_attrs,
+                                           rows, &root_counts, ctx_.kernel);
   if (call.space.rows.empty()) return;
   call.outer_db_size = static_cast<double>(call.space.rows.size());
   call.parent_supports = root_counts.Supports(*ctx_.gi);
@@ -350,8 +351,8 @@ const std::vector<double>* LatticeSearch::CachedSupports(
   std::string key = itemset.Key();
   auto it = support_cache_.find(key);
   if (it != support_cache_.end()) return &it->second;
-  GroupCounts gc =
-      CountMatchesSharded(ctx_, itemset, ctx_.gi->base_selection());
+  GroupCounts gc = CountMatchesKernel(*ctx_.db, *ctx_.gi, itemset,
+                                      ctx_.gi->base_selection(), ctx_.kernel);
   auto [ins, unused] =
       support_cache_.emplace(std::move(key), gc.Supports(*ctx_.gi));
   (void)unused;

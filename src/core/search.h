@@ -27,11 +27,11 @@ std::vector<std::vector<int>> GenerateLevelCandidates(
 /// counters->truncated_candidates) and, with `cheap_first` set, the
 /// stable cheap-first ordering (fewest continuous attributes first, so
 /// a top-k threshold exists before the expensive recursive splits).
-/// The serial and sharded engines consume the frontier in this order on
-/// one coordinator; the level-parallel engine deals the same frontier
-/// (cheap_first = false, its workers interleave anyway) across threads.
-/// Pure frontier generation: no mining, no pruning — pruning decisions
-/// happen downstream, off merged statistics only.
+/// The serial engine consumes the frontier in this order; the
+/// level-parallel engine deals the same frontier (cheap_first = false,
+/// its workers interleave anyway) across threads. Pure frontier
+/// generation: no mining, no pruning — pruning decisions happen
+/// downstream.
 std::vector<std::vector<int>> BuildLevelFrontier(
     const data::Dataset& db, const MinerConfig& cfg, int level,
     const std::vector<int>& attrs,

@@ -114,40 +114,6 @@ std::vector<int> SplittableAxes(const std::vector<double>& cuts) {
   return splittable;
 }
 
-std::vector<Space> FindCombs(const data::Dataset& db, const Space& space,
-                             const std::vector<double>& medians) {
-  SDADCS_CHECK(medians.size() == space.bounds.size());
-  std::vector<int> splittable = SplittableAxes(medians);
-  if (splittable.empty()) return {};
-
-  const size_t num_cells = size_t{1} << splittable.size();
-  std::vector<Space> cells;
-  cells.reserve(num_cells);
-  for (size_t mask = 0; mask < num_cells; ++mask) {
-    Space cell;
-    cell.bounds = space.bounds;
-    for (size_t bit = 0; bit < splittable.size(); ++bit) {
-      int axis = splittable[bit];
-      if (mask & (size_t{1} << bit)) {
-        cell.bounds[axis].lo = medians[axis];  // right half (m, hi]
-      } else {
-        cell.bounds[axis].hi = medians[axis];  // left half (lo, m]
-      }
-    }
-    cell.rows = space.rows.Filter([&](uint32_t r) {
-      for (size_t bit = 0; bit < splittable.size(); ++bit) {
-        int axis = splittable[bit];
-        const AxisBound& b = cell.bounds[axis];
-        double v = db.continuous(b.attr).value(r);
-        if (std::isnan(v) || v <= b.lo || v > b.hi) return false;
-      }
-      return true;
-    });
-    cells.push_back(std::move(cell));
-  }
-  return cells;
-}
-
 double HyperVolume(const std::vector<AxisBound>& bounds,
                    const std::vector<RootBounds>& roots) {
   SDADCS_CHECK(bounds.size() == roots.size());

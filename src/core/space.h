@@ -73,18 +73,10 @@ std::vector<double> PartitionMedians(const data::Dataset& db,
 inline constexpr size_t kMaxSplitAxes = 24;
 
 /// Indices of the splittable axes (non-NaN cuts), capped at
-/// kMaxSplitAxes with a warning. Shared by the naive FindCombs and the
-/// fused SplitAndCount kernel so both agree on which axes split.
+/// kMaxSplitAxes with a warning. The split kernel (core/split_kernel.h)
+/// and its test reference splitter agree on which axes split through
+/// this one function.
 std::vector<int> SplittableAxes(const std::vector<double>& cuts);
-
-/// find_combs(p) of Algorithm 1: the child cells obtained by cutting
-/// every splittable axis at its median — the Cartesian product of
-/// {(lo, m], (m, hi]} over splittable axes (2^cont cells when all axes
-/// split). Unsplittable axes keep their full range. Each cell's rows are
-/// the subset of the space's rows inside the cell. Returns an empty
-/// vector when no axis is splittable.
-std::vector<Space> FindCombs(const data::Dataset& db, const Space& space,
-                             const std::vector<double>& medians);
 
 /// Normalized n-volume of `bounds`: product over axes of
 /// length / root-range. Drives the smallest-first merge order.

@@ -42,8 +42,8 @@ struct SplitScratch {
 
 /// Output of the fused partition kernel: the child cells of one
 /// find_combs step together with their per-group counts, cell i of
-/// `cells` matching entry i of `counts`. Cell order and row order are
-/// identical to the naive FindCombs + CountGroups pipeline.
+/// `cells` matching entry i of `counts`. Cells come in mask order (bit b
+/// set = right half of the b-th splittable axis); rows stay ascending.
 struct SplitResult {
   std::vector<Space> cells;
   std::vector<GroupCounts> counts;
@@ -60,9 +60,10 @@ KernelKind ResolveKernel(KernelKind requested);
 /// parent row's cell mask once (n·k work for k splittable axes),
 /// scatters rows into per-cell selections, and accumulates per-group
 /// counts in the same pass — replacing the naive 2^k·n·k evaluation of
-/// FindCombs followed by 2^k CountGroups scans. Returns an empty result
-/// when no axis is splittable. Bit-identical to the naive pipeline:
-/// cells come out in the same mask order with the same rows and counts.
+/// one filter scan per cell followed by 2^k CountGroups scans. Returns
+/// an empty result when no axis is splittable. Bit-identical to that
+/// naive pipeline: cells come out in the same mask order with the same
+/// rows and counts.
 ///
 /// `kernel` selects the implementation of the per-row interval tests
 /// (resolved through ResolveKernel). Only the comparisons are

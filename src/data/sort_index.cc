@@ -34,7 +34,7 @@ SortIndex SortIndex::Build(const Dataset& db, int attr, bool with_ranks) {
   SortIndex idx;
 
   // Phase 1 — per-chunk runs: each chunk's non-missing (value, row)
-  // pairs, sorted by (value, row). This is the shard-local piece: a
+  // pairs, sorted by (value, row). This is the chunk-local piece: a
   // chunk's run needs only that chunk resident, so a paged dataset
   // builds its sort artifact one chunk buffer at a time.
   std::vector<std::vector<std::pair<double, uint32_t>>> runs;

@@ -24,6 +24,13 @@ constexpr char kMagic[8] = {'S', 'D', 'C', 'S', 'P', 'I', 'L', '1'};
 constexpr uint64_t kVersion = 1;
 constexpr uint8_t kTypeCategorical = 0;
 constexpr uint8_t kTypeContinuous = 1;
+// Smallest header record of one attribute (empty name length, type
+// byte, data offset) and of one dictionary entry (empty string length):
+// counts read from the header are bounded by the bytes left to hold
+// them before anything is allocated from them.
+constexpr size_t kMinAttrRecordBytes =
+    sizeof(uint32_t) + sizeof(uint8_t) + sizeof(uint64_t);
+constexpr size_t kMinDictEntryBytes = sizeof(uint32_t);
 
 void Put(std::string* out, const void* data, size_t n) {
   out->append(static_cast<const char*>(data), n);
@@ -85,6 +92,7 @@ class Reader {
   bool ReadU32(uint32_t* v) { return Read(v, sizeof(*v)); }
   bool ReadU8(uint8_t* v) { return Read(v, sizeof(*v)); }
   bool ReadF64(double* v) { return Read(v, sizeof(*v)); }
+  size_t remaining() const { return size_ - pos_; }
   bool ReadStr(std::string* s) {
     uint32_t len;
     if (!ReadU32(&len) || pos_ + len > size_) return false;
@@ -196,6 +204,14 @@ util::StatusOr<Dataset> OpenSpill(const std::string& path,
     return util::Status::InvalidArgument("truncated spill header in '" +
                                          path + "'");
   }
+  if (num_rows > UINT32_MAX) {  // row ids are 32-bit everywhere
+    return util::Status::InvalidArgument(
+        "row count exceeds 32-bit row ids in spill file '" + path + "'");
+  }
+  if (num_attrs > r.remaining() / kMinAttrRecordBytes) {
+    return util::Status::InvalidArgument(
+        "attribute count exceeds the header in spill file '" + path + "'");
+  }
 
   Schema schema;
   std::vector<std::unique_ptr<CategoricalColumn>> categorical;
@@ -216,7 +232,8 @@ util::StatusOr<Dataset> OpenSpill(const std::string& path,
     }
     if (type == kTypeCategorical) {
       uint32_t dict_size;
-      if (!r.ReadU32(&dict_size)) {
+      if (!r.ReadU32(&dict_size) ||
+          dict_size > r.remaining() / kMinDictEntryBytes) {
         return util::Status::InvalidArgument("truncated dictionary in '" +
                                              path + "'");
       }
@@ -251,9 +268,10 @@ util::StatusOr<Dataset> OpenSpill(const std::string& path,
       return util::Status::InvalidArgument(
           "unknown attribute type in spill file '" + path + "'");
     }
+    // Divide rather than multiply, so no term can wrap past the check.
     uint64_t offset;
-    if (!r.ReadU64(&offset) ||
-        offset + num_rows * sources[a].elem_size > mapping->size) {
+    if (!r.ReadU64(&offset) || offset > mapping->size ||
+        num_rows > (mapping->size - offset) / sources[a].elem_size) {
       return util::Status::InvalidArgument(
           "data section out of bounds in spill file '" + path + "'");
     }

@@ -27,18 +27,6 @@ util::StatusOr<core::MiningResult> ParallelEngine::Mine(
   return miner_.Mine(db, request);
 }
 
-std::string ShardedEngine::Describe() const {
-  return util::StrFormat(
-      "shard-merge SDAD-CS: serial decision order, counting fanned "
-      "across %zu row shards (byte-identical to serial)",
-      miner_.num_shards());
-}
-
-util::StatusOr<core::MiningResult> ShardedEngine::Mine(
-    const data::Dataset& db, const core::MineRequest& request) const {
-  return miner_.Mine(db, request);
-}
-
 BeamEngine::BeamEngine(const core::MinerConfig& config)
     : config_(config),
       discovery_([&config] {

@@ -8,7 +8,6 @@
 #include "discretize/discretizer.h"
 #include "engine/engine.h"
 #include "parallel/parallel_miner.h"
-#include "parallel/sharded_miner.h"
 #include "subgroup/beam.h"
 
 namespace sdadcs::engine {
@@ -47,25 +46,6 @@ class ParallelEngine : public Engine {
 
  private:
   parallel::ParallelMiner miner_;
-};
-
-/// "sharded" (and the parameterized "sharded:<n>") — shard-merge
-/// SDAD-CS: one coordinator walks the exact serial lattice while every
-/// counting scan fans across row shards and merges. Byte-identical to
-/// "serial" for every shard count.
-class ShardedEngine : public Engine {
- public:
-  ShardedEngine(core::MinerConfig config, size_t num_shards)
-      : miner_(std::move(config), num_shards) {}
-
-  std::string Name() const override { return "sharded"; }
-  std::string Describe() const override;
-  util::StatusOr<core::MiningResult> Mine(
-      const data::Dataset& db,
-      const core::MineRequest& request) const override;
-
- private:
-  parallel::ShardedMiner miner_;
 };
 
 /// "beam" — beam-search subgroup discovery (the paper's Cortana

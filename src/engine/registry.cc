@@ -95,13 +95,6 @@ EngineRegistry::EngineRegistry() {
               return std::make_unique<WindowEngine>(config,
                                                     options.window_rows);
             }});
-  Register({"sharded", EngineKind::kSharded,
-            "shard-merge SDAD-CS: serial decision order, row-sharded "
-            "counting (byte-identical to serial)",
-            [](const MinerConfig& config, const EngineOptions& options) {
-              return std::make_unique<ShardedEngine>(config,
-                                                     options.shard_count);
-            }});
 }
 
 void EngineRegistry::Register(Entry entry) {
@@ -125,11 +118,7 @@ std::string EngineRegistry::NamesJoined() const {
 }
 
 bool EngineRegistry::Has(const std::string& name) const {
-  if (Find(name) != nullptr) return true;
-  // The parameterized "sharded:<n>" form resolves without an entry of
-  // its own (shard_count > 0 excludes plain kind names and "auto").
-  util::StatusOr<core::EngineSpec> spec = core::EngineSpecFromString(name);
-  return spec.ok() && spec->shard_count > 0;
+  return Find(name) != nullptr;
 }
 
 const EngineRegistry::Entry* EngineRegistry::Find(
@@ -145,19 +134,9 @@ util::StatusOr<std::unique_ptr<Engine>> EngineRegistry::Create(
     const EngineOptions& options) const {
   const Entry* entry = Find(name);
   if (entry == nullptr) {
-    // "sharded:<n>" parameterizes the sharded entry: the count is a
-    // deployment knob, so it rides in an options copy, never the name
-    // the request key sees.
-    util::StatusOr<core::EngineSpec> spec =
-        core::EngineSpecFromString(name);
-    if (spec.ok() && spec->shard_count > 0) {
-      EngineOptions opts = options;
-      opts.shard_count = spec->shard_count;
-      return Find("sharded")->factory(config, opts);
-    }
-    return util::Status::InvalidArgument(
-        "unknown engine '" + name + "'; expected one of: " + NamesJoined() +
-        ", sharded:<n>");
+    return util::Status::InvalidArgument("unknown engine '" + name +
+                                         "'; expected one of: " +
+                                         NamesJoined());
   }
   return entry->factory(config, options);
 }

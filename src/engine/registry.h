@@ -24,11 +24,6 @@ struct EngineOptions {
   size_t window_rows = 0;
   /// Bin count of the binned:equal_width / binned:equal_freq engines.
   int equal_bins = 10;
-  /// Row shards of the shard-merge engine (0 = hardware concurrency).
-  /// Deployment knob only: the sharded engine's results are byte-
-  /// identical to serial for every count, so this never enters the
-  /// request fingerprint.
-  size_t shard_count = 0;
 };
 
 /// The registry of every servable mining engine, keyed by stable string
@@ -47,12 +42,6 @@ struct EngineOptions {
 ///   binned:equal_width ... over equal-width bins
 ///   binned:equal_freq  ... over equal-frequency bins
 ///   window             serial SDAD-CS over the most recent rows only
-///   sharded            shard-merge SDAD-CS (serial decision order,
-///                      row-sharded counting; results byte-identical
-///                      to serial)
-///
-/// Create() additionally accepts the parameterized form "sharded:<n>",
-/// which resolves to the "sharded" entry with options.shard_count = n.
 class EngineRegistry {
  public:
   struct Entry {

@@ -173,14 +173,12 @@ std::optional<WireError> ParseMineCall(const JsonValue& request,
   if (auto error = ParseMinerConfig(request, &frame.call.config)) {
     return error;
   }
-  // Any registered engine name (or "auto", or the parameterized
-  // "sharded:<n>") is accepted; anything else is an error naming the
-  // offending field — never a silent fall back.
-  util::StatusOr<core::EngineSpec> spec =
-      core::EngineSpecFromString(request.GetString("engine", "auto"));
-  if (!spec.ok()) return WireError::FromStatus(spec.status(), "engine");
-  frame.call.engine = spec->kind;
-  frame.call.shards = spec->shard_count;
+  // Any registered engine name (or "auto") is accepted; anything else
+  // is an error naming the offending field — never a silent fall back.
+  util::StatusOr<core::EngineKind> kind =
+      core::EngineKindFromString(request.GetString("engine", "auto"));
+  if (!kind.ok()) return WireError::FromStatus(kind.status(), "engine");
+  frame.call.engine = *kind;
 
   frame.deadline_ms = request.GetInt("deadline_ms", 0);
   frame.node_budget =
@@ -263,9 +261,9 @@ void RenderEngines(JsonObjectWriter* out) {
   }
   engines += "]";
   out->AddRaw("engines", engines);
-  // Accepted names that are not registry entries of their own: the
-  // server-resolved default and the count-parameterized sharded form.
-  out->AddRaw("aliases", "[\"auto\",\"sharded:<n>\"]");
+  // The accepted name that is not a registry entry of its own: the
+  // server-resolved default.
+  out->AddRaw("aliases", "[\"auto\"]");
 }
 
 void RenderStats(const ServerStats& s, JsonObjectWriter* out) {

@@ -20,7 +20,7 @@ namespace sdadcs::serve {
 ///       structured errors {code, field, message}, ops load / mine /
 ///       stats / evict / cancel / ping / shutdown. Later additive (no
 ///       version bump): the "engines" op enumerating the engine
-///       registry, and "sharded:<n>" accepted as a mine engine name.
+///       registry.
 inline constexpr int64_t kProtocolVersion = 1;
 
 /// The error taxonomy shared by every front end. Stable lower_snake wire
@@ -122,7 +122,7 @@ void RenderStats(const ServerStats& stats, JsonObjectWriter* out);
 
 /// The "engines" op body: every EngineRegistry entry as
 /// {"name":...,"description":...} under "engines", plus the
-/// parameterized forms ("sharded:<n>", "auto") under "aliases". Shared
+/// server-resolved "auto" under "aliases". Shared
 /// by the stdin and socket front ends and `sdadcs_tool --engine list`.
 void RenderEngines(JsonObjectWriter* out);
 

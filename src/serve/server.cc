@@ -113,8 +113,6 @@ util::StatusOr<core::MiningResult> Server::RunEngine(
   opts.parallel_threads = options_.parallel_threads;
   opts.window_rows = options_.window_rows;
   opts.equal_bins = options_.equal_bins;
-  opts.shard_count =
-      call.shards != 0 ? call.shards : options_.shard_count;
   util::StatusOr<std::unique_ptr<engine::Engine>> eng =
       engine::EngineRegistry::Global().Create(engine, call.config, opts);
   if (!eng.ok()) return eng.status();

@@ -42,9 +42,6 @@ struct ServerOptions {
   size_t window_rows = 0;
   /// Bin count of the binned:equal_width / binned:equal_freq engines.
   int equal_bins = 10;
-  /// Row shards of the shard-merge engine when the request does not
-  /// carry its own "sharded:<n>" count (0 = hardware concurrency).
-  size_t shard_count = 0;
   /// Chunked data layer: chunk geometry override for every loaded
   /// dataset (0 = data::kDefaultChunkRows) and the paged-backend chunk
   /// byte cap (0 = datasets stay fully resident). With a nonzero cap,
@@ -52,11 +49,10 @@ struct ServerOptions {
   /// results are byte-identical either way, so neither knob is keyed.
   size_t chunk_rows = 0;
   size_t max_resident_bytes = 0;
-  // parallel_threads / window_rows / equal_bins / shard_count are
-  // deployment-wide constants, not per-request knobs, so they stay out
-  // of the request key: within one server process a key can never alias
-  // two different effective configurations. (shard_count additionally
-  // never changes results — sharded mining is byte-identical to serial.)
+  // parallel_threads / window_rows / equal_bins are deployment-wide
+  // constants, not per-request knobs, so they stay out of the request
+  // key: within one server process a key can never alias two different
+  // effective configurations.
 };
 
 /// One mining request against a registered dataset.
@@ -66,9 +62,6 @@ struct MineCall {
   std::string group_attr;
   std::vector<std::string> group_values;  ///< empty = every value
   core::EngineKind engine = core::EngineKind::kAuto;
-  /// Explicit shard count from a "sharded:<n>" engine spec; 0 defers to
-  /// ServerOptions::shard_count. Deployment knob — not keyed.
-  size_t shards = 0;
   util::RunControl run_control;
   bool use_cache = true;
 };

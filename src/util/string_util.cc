@@ -49,7 +49,10 @@ std::optional<double> ParseDouble(std::string_view s) {
   errno = 0;
   double v = std::strtod(t.c_str(), &end);
   if (end != t.c_str() + t.size()) return std::nullopt;
-  if (errno == ERANGE && !std::isinf(v)) return std::nullopt;
+  // ERANGE flags both ends: a result too small for a normal double
+  // (returned as the nearest subnormal or zero) is still a faithful
+  // parse, but overflow to ±inf is not — only a literal "inf" may be.
+  if (errno == ERANGE && std::isinf(v)) return std::nullopt;
   return v;
 }
 

@@ -20,8 +20,10 @@ std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep);
 
 /// Parses a double, requiring the whole (trimmed) string to be consumed.
-/// Returns nullopt for empty strings or trailing garbage. Accepts
-/// "nan"/"inf" in any case.
+/// Returns nullopt for empty strings, trailing garbage, or a finite
+/// literal that overflows to ±inf ("1e400"). Underflow is accepted: a
+/// literal below the normal range parses to the nearest subnormal (or
+/// zero). Accepts "nan"/"inf" in any case.
 std::optional<double> ParseDouble(std::string_view s);
 
 /// Parses a base-10 integer, whole-string, no leading '+' quirks.

@@ -94,6 +94,32 @@ TEST(PatternsToJsonTest, InfinityBecomesNull) {
   EXPECT_NE(json.find("\"lo\": null"), std::string::npos);
 }
 
+TEST(PatternsToJsonTest, OneLineWithEveryControlCharacterEscaped) {
+  // The array rides inside one ND-JSON frame: no raw line break or other
+  // control character may appear, even in values read from a CSV.
+  data::DatasetBuilder b;
+  int g = b.AddCategorical("g");
+  int tag = b.AddCategorical("tag\tname");
+  for (int i = 0; i < 4; ++i) {
+    b.AppendCategorical(g, i % 2 == 0 ? "a" : "b");
+    b.AppendCategorical(tag, "x\r\ny");
+  }
+  auto db = std::move(b).Build();
+  ASSERT_TRUE(db.ok());
+  auto gi = data::GroupInfo::Create(*db, g);
+  ASSERT_TRUE(gi.ok());
+  ContrastPattern p;
+  p.itemset = Itemset({Item::Categorical(tag, 0)});
+  p.counts = {2, 2};
+  p.ComputeStats(*gi, MeasureKind::kSupportDiff);
+  std::string json = PatternsToJson(*db, *gi, {p, p});
+  for (char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+  }
+  EXPECT_NE(json.find("tag\\u0009name"), std::string::npos) << json;
+  EXPECT_NE(json.find("x\\u000d\\ny"), std::string::npos) << json;
+}
+
 TEST(SummarizeRunTest, MentionsCountsAndGroups) {
   Fixture f = MakeFixture();
   std::string summary = SummarizeRun(f.result);

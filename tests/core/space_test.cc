@@ -64,57 +64,6 @@ TEST(PartitionMediansTest, ConstantAxisUnsplittable) {
   EXPECT_TRUE(std::isnan(m[0]));
 }
 
-TEST(FindCombsTest, OneAxisTwoCells) {
-  data::Dataset db = MakeGrid();
-  Space space;
-  space.bounds = {{0, 0.0, 8.0}};
-  space.rows = data::Selection::All(8);
-  std::vector<Space> cells = FindCombs(db, space, {4.0});
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(cells[0].rows.size(), 4u);  // x in (0,4]
-  EXPECT_EQ(cells[1].rows.size(), 4u);  // x in (4,8]
-  EXPECT_DOUBLE_EQ(cells[0].bounds[0].hi, 4.0);
-  EXPECT_DOUBLE_EQ(cells[1].bounds[0].lo, 4.0);
-}
-
-TEST(FindCombsTest, TwoAxesFourCells) {
-  data::Dataset db = MakeGrid();
-  Space space;
-  space.bounds = {{0, 0.0, 8.0}, {1, 9.0, 80.0}};
-  space.rows = data::Selection::All(8);
-  std::vector<Space> cells = FindCombs(db, space, {4.0, 40.0});
-  ASSERT_EQ(cells.size(), 4u);
-  size_t total = 0;
-  for (const Space& c : cells) total += c.rows.size();
-  EXPECT_EQ(total, 8u);  // partition covers all rows exactly once
-  // With x and y perfectly correlated, off-diagonal cells are empty.
-  EXPECT_EQ(cells[0].rows.size(), 4u);  // low-low
-  EXPECT_EQ(cells[1].rows.size(), 0u);  // high-x low-y
-  EXPECT_EQ(cells[2].rows.size(), 0u);
-  EXPECT_EQ(cells[3].rows.size(), 4u);
-}
-
-TEST(FindCombsTest, UnsplittableAxisKeptWhole) {
-  data::Dataset db = MakeGrid();
-  Space space;
-  space.bounds = {{0, 0.0, 8.0}, {1, 9.0, 80.0}};
-  space.rows = data::Selection::All(8);
-  const double kNan = std::numeric_limits<double>::quiet_NaN();
-  std::vector<Space> cells = FindCombs(db, space, {4.0, kNan});
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_DOUBLE_EQ(cells[0].bounds[1].lo, 9.0);
-  EXPECT_DOUBLE_EQ(cells[0].bounds[1].hi, 80.0);
-}
-
-TEST(FindCombsTest, NoSplittableAxisReturnsEmpty) {
-  data::Dataset db = MakeGrid();
-  Space space;
-  space.bounds = {{0, 0.0, 8.0}};
-  space.rows = data::Selection::All(8);
-  const double kNan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_TRUE(FindCombs(db, space, {kNan}).empty());
-}
-
 TEST(HyperVolumeTest, NormalizedProduct) {
   std::vector<AxisBound> bounds = {{0, 0.0, 4.0}, {1, 9.0, 44.5}};
   std::vector<RootBounds> roots = {{0.0, 8.0}, {9.0, 80.0}};

@@ -1,11 +1,13 @@
 #include "core/split_kernel.h"
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/reference_split.h"
 #include "core/space.h"
 #include "core/support.h"
 #include "data/dataset.h"
@@ -55,7 +57,7 @@ NaiveResult NaiveSplitAndCount(const data::Dataset& db,
                                const data::GroupInfo& gi, const Space& space,
                                const std::vector<double>& cuts) {
   NaiveResult out;
-  out.cells = FindCombs(db, space, cuts);
+  out.cells = test_support::FindCombs(db, space, cuts);
   out.counts.reserve(out.cells.size());
   for (const Space& cell : out.cells) {
     out.counts.push_back(CountGroups(gi, cell.rows));
@@ -90,6 +92,73 @@ Space RootSpace(const data::Dataset& db, const data::GroupInfo& gi,
   }
   space.rows = gi.base_selection();
   return space;
+}
+
+// x = 1..8, y = 10, 20, ..., 80.
+data::Dataset MakeGrid() {
+  data::DatasetBuilder b;
+  int x = b.AddContinuous("x");
+  int y = b.AddContinuous("y");
+  for (int i = 1; i <= 8; ++i) {
+    b.AppendContinuous(x, i);
+    b.AppendContinuous(y, i * 10.0);
+  }
+  auto db = std::move(b).Build();
+  EXPECT_TRUE(db.ok());
+  return std::move(db).value();
+}
+
+// The reference splitter itself, on a grid small enough to check by
+// hand: the oracle below is only as good as these cases.
+TEST(ReferenceSplitTest, OneAxisTwoCells) {
+  data::Dataset db = MakeGrid();
+  Space space;
+  space.bounds = {{0, 0.0, 8.0}};
+  space.rows = data::Selection::All(8);
+  std::vector<Space> cells = test_support::FindCombs(db, space, {4.0});
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].rows.size(), 4u);  // x in (0,4]
+  EXPECT_EQ(cells[1].rows.size(), 4u);  // x in (4,8]
+  EXPECT_DOUBLE_EQ(cells[0].bounds[0].hi, 4.0);
+  EXPECT_DOUBLE_EQ(cells[1].bounds[0].lo, 4.0);
+}
+
+TEST(ReferenceSplitTest, TwoAxesFourCells) {
+  data::Dataset db = MakeGrid();
+  Space space;
+  space.bounds = {{0, 0.0, 8.0}, {1, 9.0, 80.0}};
+  space.rows = data::Selection::All(8);
+  std::vector<Space> cells = test_support::FindCombs(db, space, {4.0, 40.0});
+  ASSERT_EQ(cells.size(), 4u);
+  size_t total = 0;
+  for (const Space& c : cells) total += c.rows.size();
+  EXPECT_EQ(total, 8u);  // partition covers all rows exactly once
+  // With x and y perfectly correlated, off-diagonal cells are empty.
+  EXPECT_EQ(cells[0].rows.size(), 4u);  // low-low
+  EXPECT_EQ(cells[1].rows.size(), 0u);  // high-x low-y
+  EXPECT_EQ(cells[2].rows.size(), 0u);
+  EXPECT_EQ(cells[3].rows.size(), 4u);
+}
+
+TEST(ReferenceSplitTest, UnsplittableAxisKeptWhole) {
+  data::Dataset db = MakeGrid();
+  Space space;
+  space.bounds = {{0, 0.0, 8.0}, {1, 9.0, 80.0}};
+  space.rows = data::Selection::All(8);
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Space> cells = test_support::FindCombs(db, space, {4.0, kNan});
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_DOUBLE_EQ(cells[0].bounds[1].lo, 9.0);
+  EXPECT_DOUBLE_EQ(cells[0].bounds[1].hi, 80.0);
+}
+
+TEST(ReferenceSplitTest, NoSplittableAxisReturnsEmpty) {
+  data::Dataset db = MakeGrid();
+  Space space;
+  space.bounds = {{0, 0.0, 8.0}};
+  space.rows = data::Selection::All(8);
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(test_support::FindCombs(db, space, {kNan}).empty());
 }
 
 // Fused kernel == naive FindCombs + CountGroups on random data, for
@@ -205,7 +274,7 @@ TEST(SplitKernelTest, EmptyWhenNoAxisSplittable) {
   SplitResult fused = SplitAndCount(db, *gi, space, cuts, &scratch);
   EXPECT_TRUE(fused.cells.empty());
   EXPECT_TRUE(fused.counts.empty());
-  EXPECT_TRUE(FindCombs(db, space, cuts).empty());
+  EXPECT_TRUE(test_support::FindCombs(db, space, cuts).empty());
 }
 
 // More splittable axes than kMaxSplitAxes: the shared SplittableAxes

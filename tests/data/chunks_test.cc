@@ -2,6 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -9,9 +13,9 @@
 
 #include "data/dataset.h"
 #include "data/selection.h"
-#include "data/shard.h"
 #include "data/spill.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace sdadcs::data {
 namespace {
@@ -81,37 +85,6 @@ TEST(ForEachChunkSpanTest, PartitionsSortedSelectionAtChunkSeams) {
                    [&](uint32_t, size_t, size_t) { FAIL(); });
 }
 
-TEST(ForEachChunkSpanTest, ShardSlicesComposeWithMisalignedChunkSeams) {
-  // Shard boundaries (rows/4 = 25) deliberately misaligned with chunk
-  // seams (7): slicing a selection by shard and then spanning each slice
-  // by chunk must cover the selection exactly once, with every span
-  // inside both its shard range and its chunk.
-  std::vector<uint32_t> picked;
-  util::Rng rng(17);
-  for (uint32_t r = 0; r < 100; ++r) {
-    if (rng.Bernoulli(0.4)) picked.push_back(r);
-  }
-  Selection sel(picked);
-  ShardPlan plan(100, 4);
-  ChunkLayout layout(100, 7);
-  std::vector<uint32_t> rebuilt;
-  for (size_t s = 0; s < plan.num_shards(); ++s) {
-    const ShardRange& range = plan.range(s);
-    ShardView view = SliceSelection(sel, range);
-    ForEachChunkSpan(layout, view.rows, view.size,
-                     [&](uint32_t chunk, size_t b, size_t e) {
-                       for (size_t i = b; i < e; ++i) {
-                         uint32_t row = view.rows[i];
-                         EXPECT_GE(row, range.begin_row);
-                         EXPECT_LT(row, range.end_row);
-                         EXPECT_EQ(layout.chunk_of(row), chunk);
-                         rebuilt.push_back(row);
-                       }
-                     });
-  }
-  EXPECT_EQ(rebuilt, picked);
-}
-
 // A small mixed dataset with NaNs and repeated tokens, plus its spill.
 Dataset MakeMixed(size_t rows) {
   DatasetBuilder b;
@@ -168,6 +141,69 @@ TEST(SpillTest, RoundTripIsExactForEveryChunkSize) {
   std::remove(path.c_str());
 }
 
+// Copies the spill file at `src` to a new file with `patch` applied to
+// its bytes; returns the new path.
+std::string PatchedSpill(const std::string& src, const char* tag,
+                         const std::function<void(std::string*)>& patch) {
+  std::ifstream in(src, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  patch(&bytes);
+  std::string path = SpillPath(tag);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
+template <typename T>
+void Poke(std::string* bytes, size_t at, T value) {
+  ASSERT_LE(at + sizeof(T), bytes->size());
+  std::memcpy(bytes->data() + at, &value, sizeof(T));
+}
+
+// Header layout: magic(8) version(8) num_rows(8) num_attrs(8)
+// chunk_rows(8), then per attribute: name length(4) + name, type(1),
+// and for a categorical attribute the dictionary size(4).
+constexpr size_t kNumRowsAt = 16;
+constexpr size_t kNumAttrsAt = 24;
+constexpr size_t kFirstDictSizeAt = 40 + 4 + 1 + 1;  // attr 0 is "g"
+
+void ExpectRejected(const std::string& path) {
+  auto paged = OpenSpill(path, SpillOptions());
+  ASSERT_FALSE(paged.ok());
+  EXPECT_EQ(paged.status().code(), util::StatusCode::kInvalidArgument)
+      << paged.status().ToString();
+  EXPECT_NE(paged.status().message().find(path), std::string::npos)
+      << paged.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(SpillTest, HostileHeadersAreInvalidArgumentNotACrash) {
+  Dataset dense = MakeMixed(40);
+  ASSERT_EQ(dense.schema().attribute(0).name, "g");
+  std::string path = SpillPath("hostile_src");
+  ASSERT_TRUE(WriteSpill(dense, path).ok());
+  ASSERT_TRUE(OpenSpill(path, SpillOptions()).ok());
+
+  // num_rows * elem_size wraps to 0 for 2^61 rows of doubles.
+  ExpectRejected(PatchedSpill(path, "hostile_rows", [](std::string* b) {
+    Poke<uint64_t>(b, kNumRowsAt, uint64_t{1} << 61);
+  }));
+  // A row count that fits 32-bit row ids but not the file.
+  ExpectRejected(PatchedSpill(path, "hostile_short", [](std::string* b) {
+    Poke<uint64_t>(b, kNumRowsAt, uint64_t{1} << 30);
+  }));
+  // An attribute count no header could hold.
+  ExpectRejected(PatchedSpill(path, "hostile_attrs", [](std::string* b) {
+    Poke<uint64_t>(b, kNumAttrsAt, uint64_t{1} << 40);
+  }));
+  // A dictionary size no header could hold.
+  ExpectRejected(PatchedSpill(path, "hostile_dict", [](std::string* b) {
+    Poke<uint32_t>(b, kFirstDictSizeAt, 0xFFFFFFFFu);
+  }));
+  std::remove(path.c_str());
+}
+
 TEST(SpillTest, PinnedChunksServeChunkLocalIndices) {
   const size_t kRows = 50;
   Dataset dense = MakeMixed(kRows);
@@ -210,7 +246,7 @@ TEST(SpillTest, ResidentBackendHandsOutBorrowedSlices) {
   EXPECT_EQ(dense.chunk_store(), nullptr);
 }
 
-TEST(ChunkStoreTest, CapEvictsUnpinnedBeforeLoadingAndTryPinDeclines) {
+TEST(ChunkStoreTest, CapEvictsUnpinnedBeforeLoadingAndPinOvershoots) {
   const size_t kRows = 64;  // chunk_rows 16 -> 4 chunks of 128 bytes each
   Dataset dense = MakeMixed(kRows);
   std::string path = SpillPath("cap");
@@ -231,12 +267,11 @@ TEST(ChunkStoreTest, CapEvictsUnpinnedBeforeLoadingAndTryPinDeclines) {
   EXPECT_EQ(store->stats().resident_bytes, 128u);
 
   // Second pin fits exactly; a third must evict — but everything is
-  // pinned, so Pin overshoots (never fails) while TryPin declines.
+  // pinned, so Pin overshoots rather than fail.
   const void* c1 = store->Pin(2, 1);
   ASSERT_NE(c1, nullptr);
   EXPECT_EQ(store->stats().resident_bytes, 256u);
-  EXPECT_EQ(store->TryPin(2, 2), nullptr);
-  EXPECT_EQ(store->stats().loads, 2u);  // the decline loaded nothing
+  EXPECT_EQ(store->stats().loads, 2u);
   const void* c2 = store->Pin(2, 2);
   ASSERT_NE(c2, nullptr);
   EXPECT_GT(store->stats().resident_bytes, opt.max_resident_bytes);
@@ -258,37 +293,6 @@ TEST(ChunkStoreTest, CapEvictsUnpinnedBeforeLoadingAndTryPinDeclines) {
   EXPECT_EQ(store->stats().resident_bytes, 0u);
   // Peak never lies: it must cover the 3-chunk overshoot above.
   EXPECT_GE(store->stats().peak_resident_bytes, 3 * 128u);
-  std::remove(path.c_str());
-}
-
-TEST(ChunkStoreTest, PinSetHintsRespectTheCapAndResidentIsNoOp) {
-  Dataset dense = MakeMixed(64);
-  // Resident dataset: the hint is a no-op.
-  EXPECT_EQ(ChunkPinSet(dense, {1, 2}, 0, 64).size(), 0u);
-
-  std::string path = SpillPath("pinset");
-  ASSERT_TRUE(WriteSpill(dense, path).ok());
-  SpillOptions opt;
-  opt.chunk_rows = 16;
-  opt.max_resident_bytes = 3 * 16 * sizeof(double);
-  auto paged = OpenSpill(path, opt);
-  ASSERT_TRUE(paged.ok());
-  {
-    // Rows [0, 32) of one attribute: two chunks, fits.
-    ChunkPinSet hint(*paged, {2}, 0, 32);
-    EXPECT_EQ(hint.size(), 2u);
-    EXPECT_LE(paged->chunk_store()->stats().resident_bytes,
-              opt.max_resident_bytes);
-    // The whole column would blow the cap: the hint stops early rather
-    // than overshoot.
-    ChunkPinSet greedy(*paged, {2}, 0, 64);
-    EXPECT_LT(greedy.size(), 4u);
-    EXPECT_LE(paged->chunk_store()->stats().resident_bytes,
-              opt.max_resident_bytes);
-  }
-  // Hints release their pins on destruction.
-  EXPECT_GT(paged->chunk_store()->TrimUnpinned(), 0u);
-  EXPECT_EQ(paged->chunk_store()->stats().resident_bytes, 0u);
   std::remove(path.c_str());
 }
 

@@ -50,8 +50,7 @@ TEST(EngineRegistryTest, RegistersEveryDocumentedName) {
   const std::vector<std::string> expected = {
       "serial",         "parallel",          "beam",
       "binned:fayyad",  "binned:mvd",        "binned:srikant",
-      "binned:equal_width", "binned:equal_freq", "window",
-      "sharded"};
+      "binned:equal_width", "binned:equal_freq", "window"};
   std::vector<std::string> names = EngineRegistry::Global().Names();
   std::sort(names.begin(), names.end());
   std::vector<std::string> want = expected;
@@ -82,53 +81,33 @@ TEST(EngineRegistryTest, EngineKindRoundTripsForEveryRegistryName) {
   EXPECT_EQ(kinds.count(EngineKind::kAuto), 0u);
 }
 
-TEST(EngineRegistryTest, ShardedNameParsesWithOptionalCount) {
-  // Bare "sharded" is a plain kind; "sharded:<n>" carries the count.
-  auto bare = core::EngineSpecFromString("sharded");
-  ASSERT_TRUE(bare.ok());
-  EXPECT_EQ(bare->kind, EngineKind::kSharded);
-  EXPECT_EQ(bare->shard_count, 0u);
-
-  auto counted = core::EngineSpecFromString("sharded:4");
-  ASSERT_TRUE(counted.ok());
-  EXPECT_EQ(counted->kind, EngineKind::kSharded);
-  EXPECT_EQ(counted->shard_count, 4u);
-
-  // Every plain registry name parses as a spec with no count.
-  for (const auto& entry : EngineRegistry::Global().entries()) {
-    auto spec = core::EngineSpecFromString(entry.name);
-    ASSERT_TRUE(spec.ok()) << entry.name;
-    EXPECT_EQ(spec->kind, entry.kind) << entry.name;
-    EXPECT_EQ(spec->shard_count, 0u) << entry.name;
-  }
-
-  for (const char* bad : {"sharded:", "sharded:0", "sharded:x",
-                          "sharded:-1", "sharded:4x", "shard:4"}) {
-    auto spec = core::EngineSpecFromString(bad);
-    EXPECT_FALSE(spec.ok()) << bad;
-    EXPECT_EQ(spec.status().code(), util::StatusCode::kInvalidArgument)
-        << bad;
-  }
+TEST(EngineRegistryTest, KindValuesAreStable) {
+  // The numeric kind values feed the RequestKey hash; removing a kind
+  // must never renumber the ones that remain.
+  EXPECT_EQ(static_cast<int>(EngineKind::kAuto), 0);
+  EXPECT_EQ(static_cast<int>(EngineKind::kSerial), 1);
+  EXPECT_EQ(static_cast<int>(EngineKind::kParallel), 2);
+  EXPECT_EQ(static_cast<int>(EngineKind::kBeam), 3);
+  EXPECT_EQ(static_cast<int>(EngineKind::kWindow), 4);
+  EXPECT_EQ(static_cast<int>(EngineKind::kBinnedFayyad), 5);
+  EXPECT_EQ(static_cast<int>(EngineKind::kBinnedMvd), 6);
+  EXPECT_EQ(static_cast<int>(EngineKind::kBinnedSrikant), 7);
+  EXPECT_EQ(static_cast<int>(EngineKind::kBinnedEqualWidth), 8);
+  EXPECT_EQ(static_cast<int>(EngineKind::kBinnedEqualFreq), 9);
 }
 
-TEST(EngineRegistryTest, ParameterizedShardedNameCreatesEngine) {
-  EXPECT_TRUE(EngineRegistry::Global().Has("sharded:4"));
-  EXPECT_FALSE(EngineRegistry::Global().Has("sharded:0"));
-  EXPECT_FALSE(EngineRegistry::Global().Has("auto"));
-
-  auto eng = EngineRegistry::Global().Create("sharded:4", MinerConfig());
-  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
-  EXPECT_EQ((*eng)->Name(), "sharded");
-  EXPECT_NE((*eng)->Describe().find("4 row shards"), std::string::npos)
-      << (*eng)->Describe();
-
-  // An explicit shard_count in the options reaches the bare name too.
-  EngineOptions opts;
-  opts.shard_count = 2;
-  auto bare = EngineRegistry::Global().Create("sharded", MinerConfig(), opts);
-  ASSERT_TRUE(bare.ok());
-  EXPECT_NE((*bare)->Describe().find("2 row shards"), std::string::npos)
-      << (*bare)->Describe();
+TEST(EngineRegistryTest, ShardedNamesAreUnknown) {
+  for (const char* name : {"sharded", "sharded:4"}) {
+    EXPECT_FALSE(EngineRegistry::Global().Has(name)) << name;
+    auto kind = EngineKindFromString(name);
+    ASSERT_FALSE(kind.ok()) << name;
+    EXPECT_EQ(kind.status().code(), util::StatusCode::kInvalidArgument);
+    auto eng = EngineRegistry::Global().Create(name, MinerConfig());
+    ASSERT_FALSE(eng.ok()) << name;
+    EXPECT_EQ(eng.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(eng.status().message().find("parallel"), std::string::npos)
+        << eng.status().message();
+  }
 }
 
 TEST(EngineRegistryTest, UnknownNameIsInvalidArgumentListingEveryName) {

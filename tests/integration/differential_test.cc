@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/requests.h"
 #include "core/anytime.h"
@@ -136,41 +139,6 @@ std::string RenderResult(const std::vector<ContrastPattern>& patterns) {
     out += buf;
   }
   return out;
-}
-
-TEST(DifferentialTest, ColumnarKernelsMatchNaivePathExactly) {
-  // The fused split+count kernel must be a pure optimization: with
-  // columnar_kernels flipped off, the miner walks the seed's naive
-  // FindCombs + per-cell CountGroups path, and the mined output must be
-  // byte-identical on every dataset — same patterns, same order, same
-  // counts and statistics to the last bit.
-  for (const std::string& name :
-       {std::string("adult"), std::string("breast"),
-        std::string("transfusion"), std::string("shuttle")}) {
-    synth::NamedDataset nd = synth::MakeUciLike(name, /*seed=*/7);
-    auto attr = nd.db.schema().IndexOf(nd.group_attr);
-    ASSERT_TRUE(attr.ok());
-    auto gi = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
-    ASSERT_TRUE(gi.ok());
-
-    MinerConfig cfg;
-    cfg.max_depth = 2;
-    cfg.top_k = 50;
-
-    cfg.columnar_kernels = true;
-    auto fused = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
-    ASSERT_TRUE(fused.ok());
-
-    cfg.columnar_kernels = false;
-    auto naive = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
-    ASSERT_TRUE(naive.ok());
-
-    EXPECT_EQ(RenderResult(fused->contrasts), RenderResult(naive->contrasts))
-        << "dataset " << name;
-    EXPECT_EQ(fused->counters.partitions_evaluated,
-              naive->counters.partitions_evaluated)
-        << "dataset " << name;
-  }
 }
 
 TEST(DifferentialTest, ScalarAndVectorizedKernelsMatchExactly) {
@@ -340,63 +308,15 @@ TEST(DifferentialTest, SerialEngineByteIdenticalToPreRefactorBaseline) {
   }
 }
 
-TEST(DifferentialTest, ShardedEngineByteIdenticalToSerialForEveryCount) {
-  // The shard-merge engine's whole contract: the coordinator replays the
-  // serial decision order and only the counting scans fan out, so for
-  // EVERY shard count the rendered output must hit the same golden
-  // hashes as the serial baseline — not "equivalent", byte-identical.
-  // (Shards are ascending row ranges, so per-shard selections
-  // concatenate into the globally sorted selection, and counts are
-  // small-integer doubles whose shard sums are exact.) This is what
-  // licenses keeping shard_count out of the request key.
-  struct Golden {
-    const char* name;
-    size_t patterns;
-    uint64_t hash;
-  };
-  const Golden kGolden[] = {
-      {"adult", 21u, 0x40db30498c64e5d5ULL},
-      {"breast", 27u, 0x3b481c9b1db9b66aULL},
-      {"transfusion", 7u, 0xab3632eabc712362ULL},
-      {"shuttle", 6u, 0x804b93759db9254cULL},
-  };
-  for (const Golden& golden : kGolden) {
-    synth::NamedDataset nd = synth::MakeUciLike(golden.name, /*seed=*/7);
-    auto attr = nd.db.schema().IndexOf(nd.group_attr);
-    ASSERT_TRUE(attr.ok());
-    auto gi = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
-    ASSERT_TRUE(gi.ok());
-
-    MinerConfig cfg;
-    cfg.max_depth = 2;
-    cfg.top_k = 50;
-    for (size_t shards : {1u, 2u, 4u, 8u}) {
-      // Through the registry's parameterized name — the exact path the
-      // servers and CLI take, with no separate dispatch to drift.
-      std::string spec = "sharded:" + std::to_string(shards);
-      auto eng = engine::EngineRegistry::Global().Create(spec, cfg);
-      ASSERT_TRUE(eng.ok()) << spec;
-      auto result = (*eng)->Mine(nd.db, GroupsRequest(*gi));
-      ASSERT_TRUE(result.ok()) << spec << " on " << golden.name;
-      EXPECT_EQ(result->contrasts.size(), golden.patterns)
-          << spec << " on " << golden.name;
-      EXPECT_EQ(Fnv1a(RenderResult(result->contrasts)), golden.hash)
-          << spec << " on " << golden.name
-          << ": sharded output drifted from the serial baseline";
-    }
-  }
-}
-
 TEST(DifferentialTest, ChunkedStorageByteIdenticalToDenseForEveryGeometry) {
   // The chunked data layer's whole contract: chunk size is a storage
   // knob, never a semantic one. Kernels iterate chunk spans on every
   // backend, so for any chunk size — including the degenerate 1 (every
   // row its own chunk) and rows+1 (one short chunk, the dense path) —
-  // the rendered output must hit the same golden hashes as the
-  // pre-chunking baseline, on the serial AND the sharded engine (shard
-  // boundaries deliberately misaligned with chunk seams). Both backends
-  // are exercised: resident columns re-sliced in place, and the same
-  // data spilled to a columnar temp file and mined mmap-backed.
+  // the rendered output of the serial engine must hit the same golden
+  // hashes as the pre-chunking baseline. Both backends are exercised:
+  // resident columns re-sliced in place, and the same data spilled to a
+  // columnar temp file and mined mmap-backed.
   struct Golden {
     const char* name;
     size_t patterns;
@@ -421,41 +341,112 @@ TEST(DifferentialTest, ChunkedStorageByteIdenticalToDenseForEveryGeometry) {
       // Chunk size 1 on the full cross product is O(rows) pins per scan;
       // keep it to the two smallest datasets so the suite stays fast.
       if (chunk_rows == 1 && rows > 1000) continue;
-      for (const char* engine : {"serial", "sharded:3"}) {
-        // Resident backend: the same column vectors, re-sliced.
-        nd.db.SetChunkRows(chunk_rows);
-        auto attr = nd.db.schema().IndexOf(nd.group_attr);
-        ASSERT_TRUE(attr.ok());
-        auto gi = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
-        ASSERT_TRUE(gi.ok());
-        auto eng = engine::EngineRegistry::Global().Create(engine, cfg);
-        ASSERT_TRUE(eng.ok());
-        auto resident = (*eng)->Mine(nd.db, GroupsRequest(*gi));
-        ASSERT_TRUE(resident.ok());
-        EXPECT_EQ(resident->contrasts.size(), golden.patterns)
-            << golden.name << " resident chunk_rows=" << chunk_rows
-            << " engine=" << engine;
-        EXPECT_EQ(Fnv1a(RenderResult(resident->contrasts)), golden.hash)
-            << golden.name << " resident chunk_rows=" << chunk_rows
-            << " engine=" << engine
-            << ": chunked output drifted from the dense baseline";
+      // Resident backend: the same column vectors, re-sliced.
+      nd.db.SetChunkRows(chunk_rows);
+      auto attr = nd.db.schema().IndexOf(nd.group_attr);
+      ASSERT_TRUE(attr.ok());
+      auto gi = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
+      ASSERT_TRUE(gi.ok());
+      auto resident = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
+      ASSERT_TRUE(resident.ok());
+      EXPECT_EQ(resident->contrasts.size(), golden.patterns)
+          << golden.name << " resident chunk_rows=" << chunk_rows;
+      EXPECT_EQ(Fnv1a(RenderResult(resident->contrasts)), golden.hash)
+          << golden.name << " resident chunk_rows=" << chunk_rows
+          << ": chunked output drifted from the dense baseline";
 
-        // Paged backend: mmap-backed chunks materialized on demand.
+      // Paged backend: mmap-backed chunks materialized on demand.
+      data::SpillOptions sopt;
+      sopt.chunk_rows = chunk_rows;
+      auto paged = data::OpenSpill(spill_path, sopt);
+      ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+      auto pattr = paged->schema().IndexOf(nd.group_attr);
+      ASSERT_TRUE(pattr.ok());
+      auto pgi =
+          data::GroupInfo::CreateForValues(*paged, *pattr, nd.groups);
+      ASSERT_TRUE(pgi.ok());
+      auto mined = Miner(cfg).Mine(*paged, GroupsRequest(*pgi));
+      ASSERT_TRUE(mined.ok());
+      EXPECT_EQ(Fnv1a(RenderResult(mined->contrasts)), golden.hash)
+          << golden.name << " paged chunk_rows=" << chunk_rows
+          << ": mmap-backed output drifted from the dense baseline";
+    }
+    nd.db.SetChunkRows(0);
+    std::remove(spill_path.c_str());
+  }
+}
+
+// The rendered lines of a result, sorted: the pattern *set*, blind to
+// rank order among equal measures.
+std::vector<std::string> SortedLines(const std::string& rendered) {
+  std::vector<std::string> lines;
+  size_t begin = 0;
+  while (begin < rendered.size()) {
+    size_t end = rendered.find('\n', begin);
+    if (end == std::string::npos) end = rendered.size();
+    lines.push_back(rendered.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(DifferentialTest, ParallelEnginePatternSetMatchesSerialOnEveryBackend) {
+  // The one multithreaded engine: for every thread count, on resident
+  // and mmap-paged storage at a chunk size misaligned with everything
+  // (7) and at a realistic one (4096), the level-parallel engine must
+  // return the same pattern set as the serial engine, with counts and
+  // statistics equal to the last bit.
+  MinerConfig cfg;
+  cfg.max_depth = 2;
+  cfg.top_k = 50;
+  for (const char* name : {"adult", "breast", "transfusion", "shuttle"}) {
+    synth::NamedDataset nd = synth::MakeUciLike(name, /*seed=*/7);
+    auto attr = nd.db.schema().IndexOf(nd.group_attr);
+    ASSERT_TRUE(attr.ok());
+    auto gi = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
+    ASSERT_TRUE(gi.ok());
+    auto serial = Miner(cfg).Mine(nd.db, GroupsRequest(*gi));
+    ASSERT_TRUE(serial.ok());
+    const std::vector<std::string> want =
+        SortedLines(RenderResult(serial->contrasts));
+
+    std::string spill_path =
+        testing::TempDir() + "differential_parallel_" + name + ".spill";
+    ASSERT_TRUE(data::WriteSpill(nd.db, spill_path).ok());
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      engine::EngineOptions opts;
+      opts.parallel_threads = threads;
+      auto eng =
+          engine::EngineRegistry::Global().Create("parallel", cfg, opts);
+      ASSERT_TRUE(eng.ok());
+      for (size_t chunk_rows : {size_t{7}, size_t{4096}}) {
+        const std::string where = std::string(name) +
+                                  " threads=" + std::to_string(threads) +
+                                  " chunk_rows=" + std::to_string(chunk_rows);
+        nd.db.SetChunkRows(chunk_rows);
+        auto rgi = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
+        ASSERT_TRUE(rgi.ok());
+        auto resident = (*eng)->Mine(nd.db, GroupsRequest(*rgi));
+        ASSERT_TRUE(resident.ok()) << where;
+        EXPECT_EQ(resident->completion, core::Completion::kComplete)
+            << where;
+        EXPECT_EQ(SortedLines(RenderResult(resident->contrasts)), want)
+            << where << " resident";
+
         data::SpillOptions sopt;
         sopt.chunk_rows = chunk_rows;
         auto paged = data::OpenSpill(spill_path, sopt);
         ASSERT_TRUE(paged.ok()) << paged.status().ToString();
         auto pattr = paged->schema().IndexOf(nd.group_attr);
         ASSERT_TRUE(pattr.ok());
-        auto pgi = data::GroupInfo::CreateForValues(*paged, *pattr,
-                                                    nd.groups);
+        auto pgi =
+            data::GroupInfo::CreateForValues(*paged, *pattr, nd.groups);
         ASSERT_TRUE(pgi.ok());
         auto mined = (*eng)->Mine(*paged, GroupsRequest(*pgi));
-        ASSERT_TRUE(mined.ok());
-        EXPECT_EQ(Fnv1a(RenderResult(mined->contrasts)), golden.hash)
-            << golden.name << " paged chunk_rows=" << chunk_rows
-            << " engine=" << engine
-            << ": mmap-backed output drifted from the dense baseline";
+        ASSERT_TRUE(mined.ok()) << where;
+        EXPECT_EQ(SortedLines(RenderResult(mined->contrasts)), want)
+            << where << " paged";
       }
     }
     nd.db.SetChunkRows(0);

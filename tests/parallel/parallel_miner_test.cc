@@ -4,6 +4,7 @@
 #include <chrono>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -70,14 +71,24 @@ TEST(ParallelMinerTest, InvalidConfigRejected) {
   EXPECT_NE(result.status().ToString().find("alpha"), std::string::npos);
 }
 
-TEST(ParallelMinerTest, CancelFromSecondThreadUnblocksQuickly) {
-  // Big enough that the unbounded run takes far longer than the cancel
-  // round-trip the test asserts on.
+// Big enough that the unbounded run takes far longer than the stop
+// round-trips the run-control tests assert on.
+synth::NamedDataset BigDataset() {
   synth::ScalingOptions opt;
   opt.rows = 20000;
   opt.continuous_features = 40;
   opt.categorical_features = 10;
-  synth::NamedDataset sc = synth::MakeScalingDataset(opt);
+  return synth::MakeScalingDataset(opt);
+}
+
+void ExpectSortedByMeasure(const std::vector<core::ContrastPattern>& ps) {
+  for (size_t i = 1; i < ps.size(); ++i) {
+    EXPECT_GE(ps[i - 1].measure, ps[i].measure) << "rank " << i;
+  }
+}
+
+TEST(ParallelMinerTest, CancelFromSecondThreadUnblocksQuickly) {
+  synth::NamedDataset sc = BigDataset();
   core::MinerConfig cfg = BaseConfig();
   cfg.max_depth = 3;
 
@@ -99,6 +110,44 @@ TEST(ParallelMinerTest, CancelFromSecondThreadUnblocksQuickly) {
   EXPECT_LT(unblock.Seconds(), 0.1);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->completion, core::Completion::kCancelled);
+}
+
+TEST(ParallelMinerTest, DeadlineDrainsSortedPartialsWithCompletion) {
+  synth::NamedDataset sc = BigDataset();
+  core::MinerConfig cfg = BaseConfig();
+  cfg.max_depth = 3;
+
+  util::RunControl control;
+  control.set_deadline_after(std::chrono::milliseconds(60));
+  core::MineRequest request;
+  request.group_attr = sc.group_attr;
+  request.run_control = control;
+
+  util::WallTimer timer;
+  auto result = ParallelMiner(cfg, 4).Mine(sc.db, request);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->completion, core::Completion::kDeadlineExceeded);
+  // The drain must be prompt: well under the unbounded runtime.
+  EXPECT_LT(timer.Seconds(), 2.0);
+  ExpectSortedByMeasure(result->contrasts);
+}
+
+TEST(ParallelMinerTest, NodeBudgetDrainsSortedPartialsWithCompletion) {
+  synth::NamedDataset sc = BigDataset();
+  core::MinerConfig cfg = BaseConfig();
+  cfg.max_depth = 3;
+
+  util::RunControl control;
+  control.set_node_budget(2000);
+  core::MineRequest request;
+  request.group_attr = sc.group_attr;
+  request.run_control = control;
+
+  auto result = ParallelMiner(cfg, 4).Mine(sc.db, request);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->completion, core::Completion::kBudgetExhausted);
+  EXPECT_GT(result->counters.abandoned_candidates, 0u);
+  ExpectSortedByMeasure(result->contrasts);
 }
 
 TEST(ParallelMinerTest, UnknownGroupAttrRejected) {

@@ -97,6 +97,21 @@ TEST(JsonNumberTest, IntegralAndFractionalRendering) {
   EXPECT_EQ(JsonNumber(std::numeric_limits<double>::quiet_NaN()), "null");
 }
 
+TEST(JsonNumberTest, SubnormalRoundTripsThroughParse) {
+  // A p-value can underflow to the smallest subnormal; the writer emits
+  // it and the parser must read it back.
+  const double tiny = 4.9e-324;
+  auto v = JsonValue::Parse(JsonNumber(tiny));
+  ASSERT_TRUE(v.ok()) << JsonNumber(tiny);
+  ASSERT_TRUE(v->IsNumber());
+  EXPECT_EQ(v->AsNumber(), tiny);
+}
+
+TEST(JsonParseTest, RejectsNumbersThatOverflowToInfinity) {
+  EXPECT_FALSE(JsonValue::Parse("1e400").ok());
+  EXPECT_FALSE(JsonValue::Parse(R"({"alpha":-1e400})").ok());
+}
+
 TEST(JsonObjectWriterTest, RendersFieldsInInsertionOrder) {
   JsonObjectWriter nested;
   nested.Add("x", 1);

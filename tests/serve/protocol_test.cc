@@ -3,10 +3,14 @@
 
 #include "serve/protocol.h"
 
+#include <algorithm>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/interest.h"
 #include "core/split_kernel.h"
+#include "serve/server.h"
 
 namespace sdadcs::serve {
 namespace {
@@ -133,31 +137,23 @@ TEST(ParseMineCallTest, FullConfigRoundTrips) {
   EXPECT_EQ(frame.call.config.kernel, core::KernelKind::kScalar);
 }
 
-TEST(ParseMineCallTest, ShardedEngineSpecCarriesCount) {
-  MineFrame frame;
-  auto error = ParseMineCall(
-      Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
-            "\"engine\":\"sharded:4\"}"),
-      &frame);
-  ASSERT_FALSE(error.has_value()) << error->ToText();
-  EXPECT_EQ(frame.call.engine, core::EngineKind::kSharded);
-  EXPECT_EQ(frame.call.shards, 4u);
-
-  // Bare name: the count defers to the server's deployment default.
-  error = ParseMineCall(
-      Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
-            "\"engine\":\"sharded\"}"),
-      &frame);
-  ASSERT_FALSE(error.has_value());
-  EXPECT_EQ(frame.call.engine, core::EngineKind::kSharded);
-  EXPECT_EQ(frame.call.shards, 0u);
-
-  error = ParseMineCall(
-      Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
-            "\"engine\":\"sharded:0\"}"),
-      &frame);
-  ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->field, "engine");
+TEST(ParseMineCallTest, ShardedEngineNameIsRejected) {
+  for (const char* name : {"sharded", "sharded:4"}) {
+    MineFrame frame;
+    auto error = ParseMineCall(
+        Parse(std::string("{\"op\":\"mine\",\"dataset\":\"d\","
+                          "\"group\":\"g\",\"engine\":\"") +
+              name + "\"}"),
+        &frame);
+    ASSERT_TRUE(error.has_value()) << name;
+    EXPECT_EQ(error->code, ErrorCode::kInvalidArgument) << name;
+    EXPECT_EQ(error->field, "engine") << name;
+    // The message lists the accepted registry names.
+    EXPECT_NE(error->message.find("parallel"), std::string::npos)
+        << error->message;
+    EXPECT_NE(error->message.find("binned:mvd"), std::string::npos)
+        << error->message;
+  }
 }
 
 TEST(RenderEnginesTest, ListsRegistryAndAliases) {
@@ -166,16 +162,15 @@ TEST(RenderEnginesTest, ListsRegistryAndAliases) {
   std::string body = w.Str();
   EXPECT_NE(body.find("\"engines\":["), std::string::npos);
   EXPECT_NE(body.find("\"name\":\"serial\""), std::string::npos);
-  EXPECT_NE(body.find("\"name\":\"sharded\""), std::string::npos);
-  EXPECT_NE(body.find("\"aliases\":[\"auto\",\"sharded:<n>\"]"),
-            std::string::npos);
+  EXPECT_EQ(body.find("sharded"), std::string::npos);
+  EXPECT_NE(body.find("\"aliases\":[\"auto\"]"), std::string::npos);
   // The body itself must be splice-safe JSON.
   auto parsed = JsonValue::Parse(body);
   ASSERT_TRUE(parsed.ok());
   const auto* engines = parsed->Find("engines");
   ASSERT_NE(engines, nullptr);
   EXPECT_TRUE(engines->IsArray());
-  EXPECT_GE(engines->AsArray().size(), 10u);
+  EXPECT_EQ(engines->AsArray().size(), 9u);
 }
 
 TEST(ParseMineCallTest, UnknownMeasureKernelEngineAreErrors) {
@@ -258,6 +253,36 @@ TEST(RenderMineOutcomeTest, ErrorVerdictCarriesStructuredError) {
   EXPECT_NE(rendered.find("\"verdict\":\"error\""), std::string::npos);
   EXPECT_NE(rendered.find("\"error\":{\"code\":\"not_found\""),
             std::string::npos);
+}
+
+TEST(RenderMineOutcomeTest, PatternsResponseIsOneParseableLine) {
+  // ND-JSON framing: a mine response with "emit":"patterns" is one line,
+  // however many patterns it carries, and parses back whole.
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Load("breast", "synth:breast").ok());
+  MineFrame frame;
+  auto error = ParseMineCall(
+      Parse("{\"op\":\"mine\",\"dataset\":\"breast\","
+            "\"group\":\"class\",\"emit\":\"patterns\","
+            "\"config\":{\"depth\":2}}"),
+      &frame);
+  ASSERT_FALSE(error.has_value()) << error->ToText();
+  MineOutcome outcome = server.Mine(frame.call);
+  ASSERT_EQ(outcome.verdict, Verdict::kOk) << outcome.status.ToString();
+  std::string patterns = RenderPatternsBody(server, frame.call, outcome);
+  ASSERT_FALSE(patterns.empty());
+
+  JsonObjectWriter w = ResponseEnvelope(true, "mine");
+  RenderMineOutcome(outcome, patterns, &w);
+  const std::string rendered = w.Str();
+  EXPECT_EQ(std::count(rendered.begin(), rendered.end(), '\n'), 0)
+      << rendered;
+  auto parsed = JsonValue::Parse(rendered);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* body = parsed->Find("patterns");
+  ASSERT_NE(body, nullptr);
+  ASSERT_TRUE(body->IsArray());
+  EXPECT_GT(body->AsArray().size(), 1u);
 }
 
 }  // namespace

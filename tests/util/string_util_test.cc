@@ -1,5 +1,8 @@
 #include "util/string_util.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace sdadcs::util {
@@ -42,6 +45,27 @@ TEST(ParseDoubleTest, RejectsGarbage) {
   EXPECT_FALSE(ParseDouble("abc").has_value());
   EXPECT_FALSE(ParseDouble("1.5x").has_value());
   EXPECT_FALSE(ParseDouble("1.5 2").has_value());
+}
+
+TEST(ParseDoubleTest, AcceptsUnderflowToSubnormalOrZero) {
+  // strtod flags these ERANGE, yet the nearest double is the right parse.
+  auto subnormal = ParseDouble("1.98e-323");
+  ASSERT_TRUE(subnormal.has_value());
+  EXPECT_GT(*subnormal, 0.0);
+  EXPECT_LT(*subnormal, std::numeric_limits<double>::min());
+  EXPECT_EQ(*ParseDouble("4.9e-324"),
+            std::numeric_limits<double>::denorm_min());
+  auto zero = ParseDouble("1e-400");
+  ASSERT_TRUE(zero.has_value());
+  EXPECT_EQ(*zero, 0.0);
+}
+
+TEST(ParseDoubleTest, RejectsOverflowButAcceptsLiteralInfinity) {
+  EXPECT_FALSE(ParseDouble("1e400").has_value());
+  EXPECT_FALSE(ParseDouble("-1e400").has_value());
+  auto inf = ParseDouble("inf");
+  ASSERT_TRUE(inf.has_value());
+  EXPECT_TRUE(std::isinf(*inf));
 }
 
 TEST(ParseIntTest, ParsesAndRejects) {

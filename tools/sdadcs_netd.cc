@@ -8,8 +8,8 @@
 //                 [--memory-budget-mb N] [--deadline-ms N]
 //                 [--node-budget N] [--threads N]
 //                 [--parallel-threshold ROWS] [--window-rows N]
-//                 [--equal-bins N] [--shards N]
-//                 [--chunk-rows N] [--max-resident-bytes N]
+//                 [--equal-bins N] [--chunk-rows N]
+//                 [--max-resident-bytes N]
 //
 // --port 0 (the default) binds an ephemeral port; the resolved port is
 // printed on the "listening" line and, with --port-file, written to PATH
@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
       static_cast<size_t>(flags->GetInt("parallel-threshold", 100000));
   options.window_rows = static_cast<size_t>(flags->GetInt("window-rows", 0));
   options.equal_bins = flags->GetInt("equal-bins", 10);
-  options.shard_count = static_cast<size_t>(flags->GetInt("shards", 0));
   options.chunk_rows = static_cast<size_t>(flags->GetInt("chunk-rows", 0));
   options.max_resident_bytes =
       static_cast<size_t>(flags->GetInt("max-resident-bytes", 0));

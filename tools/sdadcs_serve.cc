@@ -6,8 +6,8 @@
 //                  [--memory-budget-mb N] [--deadline-ms N]
 //                  [--node-budget N] [--threads N]
 //                  [--parallel-threshold ROWS] [--window-rows N]
-//                  [--equal-bins N] [--shards N]
-//                  [--chunk-rows N] [--max-resident-bytes N]
+//                  [--equal-bins N] [--chunk-rows N]
+//                  [--max-resident-bytes N]
 //
 // One JSON object per input line, one JSON response line per request —
 // scriptable from shell pipes and CI with no network dependency:
@@ -23,8 +23,7 @@
 //   load     name, spec                 → rows/attributes/bytes/version
 //   mine     dataset, group, groups[],  → verdict, cache status, request
 //            engine (auto or any registry   key, timings
-//            name: serial|parallel|beam|window|binned:<method>|
-//            sharded, or sharded:<n> with an explicit shard count),
+//            name: serial|parallel|beam|window|binned:<method>),
 //            deadline_ms, node_budget, cache (bool),
 //            emit ("summary"|"patterns"), burst (int), id (string,
 //            echoed), anytime (bool, burst 1 only: stream
@@ -242,7 +241,6 @@ int main(int argc, char** argv) {
   options.window_rows =
       static_cast<size_t>(flags->GetInt("window-rows", 0));
   options.equal_bins = static_cast<int>(flags->GetInt("equal-bins", 10));
-  options.shard_count = static_cast<size_t>(flags->GetInt("shards", 0));
   options.chunk_rows = static_cast<size_t>(flags->GetInt("chunk-rows", 0));
   options.max_resident_bytes =
       static_cast<size_t>(flags->GetInt("max-resident-bytes", 0));

@@ -11,11 +11,10 @@
 //
 // Common mining options:
 //   --engine NAME       mining engine, any registry name: serial |
-//                       parallel | beam | window | binned:<method> |
-//                       sharded | sharded:<n> (default serial);
-//                       --engine list prints every registered engine;
-//                       --threads, --window-rows, --bins and --shards
-//                       tune the parallel/window/binned/sharded engines
+//                       parallel | beam | window | binned:<method>
+//                       (default serial); --engine list prints every
+//                       registered engine; --threads, --window-rows and
+//                       --bins tune the parallel/window/binned engines
 //   --groups a,b        contrast exactly these two group values
 //   --depth N           max items per pattern          (default 2)
 //   --delta D           minimum support difference     (default 0.1)
@@ -229,7 +228,6 @@ int RunMine(const Flags& args, const sdadcs::data::Dataset& db) {
       static_cast<size_t>(args.GetInt("threads", 0));
   eopts.window_rows = static_cast<size_t>(args.GetInt("window-rows", 0));
   eopts.equal_bins = static_cast<int>(args.GetInt("bins", 10));
-  eopts.shard_count = static_cast<size_t>(args.GetInt("shards", 0));
   sdadcs::util::StatusOr<std::unique_ptr<sdadcs::engine::Engine>> miner =
       sdadcs::engine::EngineRegistry::Global().Create(
           args.Get("engine", "serial"), cfg, eopts);
@@ -456,8 +454,7 @@ int main(int argc, char** argv) {
                   entry.description.c_str());
     }
     std::printf(
-        "also accepted: sharded:<n> (explicit shard count), auto "
-        "(server-side row-threshold resolution)\n");
+        "also accepted: auto (server-side row-threshold resolution)\n");
     return 0;
   }
   if (!flags.ok() || flags->positional().size() < 2) {
