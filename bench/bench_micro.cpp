@@ -249,12 +249,10 @@ void BM_SplitAndCountTwoAxes(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitAndCountTwoAxes);
 
-// Cold-mine latency attack: end-to-end mine of a scaling dataset,
-// baseline (scalar kernel, no bound seeding) against the attack
-// configuration (vectorized kernel + sample-seeded optimistic bounds),
-// plus the anytime time-to-first-result fraction and the pruning
-// counters with and without seeding. The attack must not change the
-// answer — every knob involved is a pure speed knob.
+// Cold-mine latency: end-to-end mine of a scaling dataset on the scalar
+// kernel against the vectorized one, plus the anytime
+// time-to-first-result fraction. The kernel is a pure speed knob, so
+// both runs must produce the same answer.
 void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   synth::ScalingOptions opt;
   opt.rows = smoke ? 8000 : 60000;
@@ -266,7 +264,6 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   auto gi_or = data::GroupInfo::CreateForValues(nd.db, *attr, nd.groups);
   SDADCS_CHECK(gi_or.ok());
   const data::GroupInfo& gi = *gi_or;
-  const size_t seed_rows = smoke ? 1000 : 4000;
 
   core::MinerConfig cfg;
   cfg.max_depth = 2;
@@ -278,9 +275,8 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
   // noise can swamp a single run.
   constexpr int kReps = 3;
 
-  // Baseline: the seed repo's cold-mine path.
+  // Baseline: the scalar kernel.
   cfg.kernel = core::KernelKind::kScalar;
-  cfg.seed_sample_rows = 0;
   util::StatusOr<core::MiningResult> baseline =
       util::Status::Internal("unset");
   double base_sec = 1e30;
@@ -291,9 +287,8 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
     SDADCS_CHECK(baseline.ok());
   }
 
-  // Attack: vectorized kernel + sample-seeded bounds.
+  // The vectorized kernel.
   cfg.kernel = core::KernelKind::kAvx2;
-  cfg.seed_sample_rows = seed_rows;
   util::StatusOr<core::MiningResult> fast = util::Status::Internal("unset");
   double fast_sec = 1e30;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -311,19 +306,7 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
                  baseline->contrasts[i].measure);
   }
 
-  // Seeding-only run: isolates the node-count effect of the seeded
-  // bound for the counter report below.
-  cfg.kernel = core::KernelKind::kScalar;
-  auto seeded = core::Miner(cfg).Mine(nd.db, req);
-  SDADCS_CHECK(seeded.ok());
-
-  // Anytime streaming on the latency-first configuration: vectorized
-  // kernel, seeding off. The seed pre-pass trades first-result latency
-  // for total wall time, which is exactly the opposite of what an
-  // --anytime caller wants, so the time-to-first-result is measured on
-  // the configuration such a caller would run.
-  cfg.kernel = core::KernelKind::kAvx2;
-  cfg.seed_sample_rows = 0;
+  // Anytime streaming on the vectorized kernel.
   core::MineRequest any_req;
   any_req.groups = &gi;
   any_req.run_control.set_anytime(true);
@@ -343,44 +326,24 @@ void AddColdMineCases(bench::BenchJson* json, bool smoke) {
       any_sec > 0.0 ? first_partial_sec / any_sec : 0.0;
   double mine_speedup = fast_sec > 0.0 ? base_sec / fast_sec : 0.0;
 
-  std::printf("\n== cold mine: scalar+unseeded vs avx2+seeded (%s rows) ==\n",
+  std::printf("\n== cold mine: scalar vs avx2 (%s rows) ==\n",
               std::to_string(nd.db.num_rows()).c_str());
-  std::printf("baseline %.4fs | attack %.4fs | speedup %.2fx\n", base_sec,
+  std::printf("scalar %.4fs | avx2 %.4fs | speedup %.2fx\n", base_sec,
               fast_sec, mine_speedup);
   std::printf("anytime: first result at %.4fs of %.4fs (%.1f%%)\n",
               first_partial_sec, any_sec, 100.0 * ttfr_fraction);
-  std::printf("counters (unseeded vs seeded, scalar kernel):\n");
-  std::printf("  partitions_evaluated %llu vs %llu\n",
-              static_cast<unsigned long long>(
-                  baseline->counters.partitions_evaluated),
-              static_cast<unsigned long long>(
-                  seeded->counters.partitions_evaluated));
-  std::printf("  pruned_oe_measure    %llu vs %llu\n",
-              static_cast<unsigned long long>(
-                  baseline->counters.pruned_oe_measure),
-              static_cast<unsigned long long>(
-                  seeded->counters.pruned_oe_measure));
-  std::printf("  pruned_oe_chi2       %llu vs %llu\n",
-              static_cast<unsigned long long>(
-                  baseline->counters.pruned_oe_chi2),
-              static_cast<unsigned long long>(
-                  seeded->counters.pruned_oe_chi2));
 
   json->BeginCase("cold_mine_scaling");
   json->SetCase("rows", static_cast<uint64_t>(nd.db.num_rows()));
-  json->SetCase("seed_sample_rows", static_cast<uint64_t>(seed_rows));
-  json->SetCase("baseline_wall_seconds", base_sec);
-  json->SetCase("attack_wall_seconds", fast_sec);
+  json->SetCase("scalar_wall_seconds", base_sec);
+  json->SetCase("avx2_wall_seconds", fast_sec);
   json->SetCase("mine_speedup", mine_speedup);
   json->SetCase("anytime_first_result_seconds", first_partial_sec);
   json->SetCase("anytime_total_seconds", any_sec);
   json->SetCase("anytime_ttfr_fraction", ttfr_fraction);
-  json->SetCase("unseeded_partitions",
+  json->SetCase("partitions_evaluated",
                 baseline->counters.partitions_evaluated);
-  json->SetCase("seeded_partitions",
-                seeded->counters.partitions_evaluated);
-  json->SetCase("unseeded_pruned_oe", baseline->counters.pruned_oe_measure);
-  json->SetCase("seeded_pruned_oe", seeded->counters.pruned_oe_measure);
+  json->SetCase("pruned_oe_measure", baseline->counters.pruned_oe_measure);
 }
 
 // Chunked cold mine: the same end-to-end mine on the three storage

@@ -53,31 +53,14 @@ util::StatusOr<MiningResult> Miner::Mine(const data::Dataset& db,
       engine::MiningSession::Begin(db, config_, request);
   if (!session.ok()) return session.status();
 
-  // Two attempts at most: seeded (when the session computed a sample
-  // floor), then — only if the a-posteriori guard shows the seed floor
-  // may have pruned a would-be result — a transparent unseeded re-run.
-  // Seeding therefore only ever changes node counts, never patterns.
-  double seed_floor = session->seed_floor();
-  for (;;) {
-    PruneTable prune_table;
-    TopK topk(static_cast<size_t>(config_.top_k), config_.delta);
-    if (seed_floor > 0.0) topk.SeedFloor(seed_floor);
-    MiningCounters counters;
-    MiningContext ctx = session->MakeContext(&prune_table, &topk, &counters);
+  PruneTable prune_table;
+  TopK topk(static_cast<size_t>(config_.top_k), config_.delta);
+  MiningCounters counters;
+  MiningContext ctx = session->MakeContext(&prune_table, &topk, &counters);
 
-    LatticeSearch search(ctx);
-    search.Run(session->attributes());
-
-    std::vector<ContrastPattern> sorted = topk.Sorted();
-    Completion completion = ctx.run.completion();
-    if (seed_floor > 0.0 && completion == Completion::kComplete &&
-        !engine::SeedFloorJustified(sorted, static_cast<size_t>(config_.top_k),
-                                    seed_floor)) {
-      seed_floor = 0.0;
-      continue;
-    }
-    return session->Finalize(std::move(sorted), counters, completion);
-  }
+  LatticeSearch search(ctx);
+  search.Run(session->attributes());
+  return session->Finalize(topk.Sorted(), counters, ctx.run.completion());
 }
 
 }  // namespace sdadcs::core

@@ -17,7 +17,7 @@ namespace sdadcs::serve {
 /// At most `max_concurrent` requests hold a slot at once. Up to
 /// `max_queue` more wait in FIFO order; anything beyond that is turned
 /// away immediately with kRejectedBusy — the controller never blocks a
-/// caller that cannot eventually be served, so a burst can spike latency
+/// caller that cannot eventually be served, so a spike can raise latency
 /// but not deadlock the server. A queued request that hits its own
 /// deadline or is cancelled leaves the queue with kExpiredInQueue /
 /// kCancelledInQueue.

@@ -236,7 +236,11 @@ double JsonValue::GetNumber(const std::string& key, double fallback) const {
 int64_t JsonValue::GetInt(const std::string& key, int64_t fallback) const {
   const JsonValue* v = Find(key);
   if (v == nullptr || !v->IsNumber()) return fallback;
-  return static_cast<int64_t>(v->number_);
+  // Only an integral value inside int64's range converts; anything else
+  // (1e300, 2.5) would be an undefined or lossy cast.
+  const double x = v->number_;
+  if (!(x >= -0x1p63 && x < 0x1p63) || std::trunc(x) != x) return fallback;
+  return static_cast<int64_t>(x);
 }
 
 bool JsonValue::GetBool(const std::string& key, bool fallback) const {

@@ -11,12 +11,11 @@
 
 namespace sdadcs::serve {
 
-/// Minimal JSON document model for the newline-delimited protocol of
-/// sdadcs_serve: one request object per line in, one response object per
-/// line out. Hand-rolled (the repo takes no third-party deps); supports
-/// the full JSON grammar except that numbers are always held as double
-/// (ints up to 2^53 round-trip exactly, plenty for row counts and
-/// budgets).
+/// Minimal JSON document model for the newline-delimited wire protocol:
+/// one request object per line in, one response object per line out.
+/// Hand-rolled (the repo takes no third-party deps); supports the full
+/// JSON grammar except that numbers are always held as double (ints up
+/// to 2^53 round-trip exactly, plenty for row counts and budgets).
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -41,7 +40,8 @@ class JsonValue {
   /// Object field lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;
 
-  /// Typed object accessors with fallbacks (fallback also on wrong type).
+  /// Typed object accessors with fallbacks (fallback also on wrong type;
+  /// GetInt also falls back on a non-integral or out-of-range number).
   std::string GetString(const std::string& key,
                         const std::string& fallback = "") const;
   double GetNumber(const std::string& key, double fallback) const;

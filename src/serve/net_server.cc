@@ -123,16 +123,18 @@ util::Status NetServer::Start() {
   executor_ =
       std::make_unique<util::ThreadPool>(static_cast<size_t>(executor_threads));
   started_ = true;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  // The accept thread works on its own copy of the descriptor: Drain
+  // owns listen_fd_ and closes it only after joining this thread.
+  accept_thread_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
   return util::Status::OK();
 }
 
-void NetServer::AcceptLoop() {
+void NetServer::AcceptLoop(int listen_fd) {
   while (true) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listen socket closed: drain has begun
+      return;  // listen socket shut down: drain has begun
     }
     if (draining_.load()) {
       ::close(fd);
@@ -293,14 +295,6 @@ void NetServer::HandleMine(const std::shared_ptr<Connection>& conn,
     WriteFrame(conn, ErrorResponse("mine", *error, id));
     return;
   }
-  if (frame.burst > 1) {
-    // The stdin server's scripted concurrency knob; a socket client gets
-    // real concurrency by pipelining frames instead.
-    WireError error{ErrorCode::kInvalidArgument, "burst",
-                    "the socket transport has no burst: pipeline requests"};
-    WriteFrame(conn, ErrorResponse("mine", error, id));
-    return;
-  }
 
   // Warm fast path: a result-cache hit is a hash lookup — answer it on
   // the reader thread instead of queueing it behind cold mines.
@@ -309,9 +303,7 @@ void NetServer::HandleMine(const std::shared_ptr<Connection>& conn,
     if (server_.TryCacheHit(frame.call, &hit)) {
       JsonObjectWriter w = ResponseEnvelope(true, "mine", id);
       RenderMineOutcome(
-          hit,
-          frame.emit_patterns ? RenderPatternsBody(server_, frame.call, hit)
-                              : "",
+          hit, frame.emit_patterns ? RenderPatternsBody(frame.call, hit) : "",
           &w);
       {
         // Count before writing: a client that reads the response and
@@ -399,8 +391,7 @@ void NetServer::RunMine(std::shared_ptr<Connection> conn,
       ResponseEnvelope(outcome.verdict != Verdict::kError, "mine", frame.id);
   RenderMineOutcome(
       outcome,
-      frame.emit_patterns ? RenderPatternsBody(server_, frame.call, outcome)
-                          : "",
+      frame.emit_patterns ? RenderPatternsBody(frame.call, outcome) : "",
       &w);
   WriteFrame(conn, w);
 
@@ -537,13 +528,15 @@ void NetServer::Drain() {
   stopped_ = true;
   draining_ = true;
 
-  // 1. Stop accepting: closing the listen socket unblocks accept().
+  // 1. Stop accepting: shutting the listen socket down unblocks
+  // accept(). The descriptor is closed only once the accept thread is
+  // joined, so its number cannot be reused under a live accept().
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // 2. Finish in-flight: every dispatched mine runs to completion and
   // writes its response (and any anytime partials) before this count

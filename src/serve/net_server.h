@@ -108,7 +108,7 @@ class NetServer {
   struct Connection;
   struct MineJob;
 
-  void AcceptLoop();
+  void AcceptLoop(int listen_fd);
   void ReaderLoop(std::shared_ptr<Connection> conn);
   void HandleFrame(const std::shared_ptr<Connection>& conn,
                    const std::string& line);

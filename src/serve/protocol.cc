@@ -1,6 +1,8 @@
 #include "serve/protocol.h"
 
 #include <cctype>
+#include <cmath>
+#include <limits>
 
 #include "core/report.h"
 #include "core/request_key.h"
@@ -26,6 +28,30 @@ std::string ExtractField(const std::string& message) {
   if (i < message.size() && message[i] == ':') return token;
   if (message.compare(i, 9, " must be ") == 0) return token;
   return "";
+}
+
+/// Wire numbers are doubles: integers round-trip exactly up to 2^53.
+constexpr int64_t kMaxWireInt = int64_t{1} << 53;
+
+/// The one reader of integer wire fields. An absent `key` leaves `*out`
+/// unchanged; anything else must be an integral number in [0, max],
+/// otherwise the answer is invalid_argument naming `field`.
+std::optional<WireError> ReadCount(const JsonValue& object,
+                                   const std::string& key,
+                                   const std::string& field, int64_t max,
+                                   int64_t* out) {
+  const JsonValue* v = object.Find(key);
+  if (v == nullptr) return std::nullopt;
+  double x = v->IsNumber() ? v->AsNumber() : -1.0;
+  // Range first: the cast below is defined only for values in range
+  // (`max` <= 2^53 is exact as a double).
+  if (!(x >= 0.0 && x <= static_cast<double>(max)) || std::trunc(x) != x) {
+    return WireError{ErrorCode::kInvalidArgument, field,
+                     "\"" + key + "\" must be an integer in [0, " +
+                         std::to_string(max) + "]"};
+  }
+  *out = static_cast<int64_t>(x);
+  return std::nullopt;
 }
 
 ErrorCode CodeFromStatus(const util::Status& status) {
@@ -130,10 +156,20 @@ std::optional<WireError> ParseMinerConfig(const JsonValue& request,
                      "\"config\" must be a JSON object"};
   }
   if (config != nullptr) {
-    cfg.max_depth = static_cast<int>(config->GetInt("depth", cfg.max_depth));
+    constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+    int64_t depth = cfg.max_depth;
+    int64_t top = cfg.top_k;
+    if (auto error =
+            ReadCount(*config, "depth", "config.depth", kIntMax, &depth)) {
+      return error;
+    }
+    if (auto error = ReadCount(*config, "top", "config.top", kIntMax, &top)) {
+      return error;
+    }
+    cfg.max_depth = static_cast<int>(depth);
+    cfg.top_k = static_cast<int>(top);
     cfg.delta = config->GetNumber("delta", cfg.delta);
     cfg.alpha = config->GetNumber("alpha", cfg.alpha);
-    cfg.top_k = static_cast<int>(config->GetInt("top", cfg.top_k));
     auto measure = MeasureFromString(config->GetString("measure", "diff"));
     if (!measure.ok()) {
       return WireError::FromStatus(measure.status(), "config.measure");
@@ -148,8 +184,6 @@ std::optional<WireError> ParseMinerConfig(const JsonValue& request,
       return WireError::FromStatus(kernel.status(), "config.kernel");
     }
     cfg.kernel = *kernel;
-    cfg.seed_sample_rows =
-        static_cast<size_t>(config->GetInt("seed_sample", 0));
   }
   *out = cfg;
   return std::nullopt;
@@ -180,24 +214,25 @@ std::optional<WireError> ParseMineCall(const JsonValue& request,
   if (!kind.ok()) return WireError::FromStatus(kind.status(), "engine");
   frame.call.engine = *kind;
 
-  frame.deadline_ms = request.GetInt("deadline_ms", 0);
-  frame.node_budget =
-      static_cast<uint64_t>(request.GetInt("node_budget", 0));
+  if (auto error = ReadCount(request, "deadline_ms", "deadline_ms",
+                             kMaxWireInt, &frame.deadline_ms)) {
+    return error;
+  }
+  int64_t node_budget = 0;
+  if (auto error = ReadCount(request, "node_budget", "node_budget",
+                             kMaxWireInt, &node_budget)) {
+    return error;
+  }
+  frame.node_budget = static_cast<uint64_t>(node_budget);
   frame.emit_patterns = request.GetString("emit", "summary") == "patterns";
   frame.anytime = request.GetBool("anytime", false);
   frame.tenant = request.GetString("tenant");
   frame.id = request.GetString("id");
 
-  frame.burst = request.GetInt("burst", 1);
-  if (frame.burst < 1) frame.burst = 1;
-  if (frame.burst > 256) {
+  // Concurrency comes from pipelining frames, not from a repeat count.
+  if (request.GetNumber("burst", 1) > 1) {
     return WireError{ErrorCode::kInvalidArgument, "burst",
-                     "burst is capped at 256"};
-  }
-  if (frame.anytime && frame.burst > 1) {
-    // Concurrent burst copies would interleave their partial streams.
-    return WireError{ErrorCode::kInvalidArgument, "anytime",
-                     "anytime requires burst 1"};
+                     "burst is not supported: pipeline requests"};
   }
   *out = std::move(frame);
   return std::nullopt;
@@ -321,17 +356,13 @@ void RenderStats(const ServerStats& s, JsonObjectWriter* out) {
   w.AddRaw("admission", admission.Str());
 }
 
-std::string RenderPatternsBody(Server& server, const MineCall& call,
+std::string RenderPatternsBody(const MineCall& call,
                                const MineOutcome& outcome) {
-  if (outcome.result == nullptr) return "";
-  auto handle = server.Dataset(call.dataset);
-  if (!handle.ok()) return "";
-  core::MineRequest probe;
-  probe.group_attr = call.group_attr;
-  probe.group_values = call.group_values;
-  auto gi = core::ResolveRequestGroups((*handle)->db, probe);
-  if (!gi.ok()) return "";
-  return core::PatternsToJson((*handle)->db, *gi,
+  if (outcome.result == nullptr || outcome.dataset == nullptr) return "";
+  const ServedDataset& ds = *outcome.dataset;
+  auto groups = ds.prepared->Groups(call.group_attr, call.group_values);
+  if (!groups.ok()) return "";
+  return core::PatternsToJson(ds.db, (*groups)->groups,
                               outcome.result->contrasts);
 }
 

@@ -11,11 +11,11 @@
 
 namespace sdadcs::serve {
 
-/// Version of the ND-JSON wire protocol spoken by every serve front end
-/// (sdadcs_serve on stdin/stdout, sdadcs_netd over TCP). Every response
-/// frame carries `"v": kProtocolVersion`; a request may pin a version
-/// with its own "v" field and is rejected with kUnsupportedVersion when
-/// the server does not speak it. Version history:
+/// Version of the ND-JSON wire protocol spoken by sdadcs_netd over TCP.
+/// Every response frame carries `"v": kProtocolVersion`; a request may
+/// pin a version with its own "v" field and is rejected with
+/// kUnsupportedVersion when the server does not speak it. Version
+/// history:
 ///   1 — initial versioned protocol: envelope {v, ok, op, id?},
 ///       structured errors {code, field, message}, ops load / mine /
 ///       stats / evict / cancel / ping / shutdown. Later additive (no
@@ -71,7 +71,6 @@ struct MineFrame {
   uint64_t node_budget = 0;
   bool emit_patterns = false;  ///< "emit":"patterns"
   bool anytime = false;
-  int64_t burst = 1;
   std::string tenant;  ///< quota bucket; "" = the default tenant
   std::string id;      ///< client correlation token, echoed verbatim
 };
@@ -79,18 +78,19 @@ struct MineFrame {
 /// Rejects a request that pinned an incompatible protocol version.
 std::optional<WireError> CheckProtocolVersion(const JsonValue& request);
 
-/// Parses the "config" object (depth/delta/alpha/top/measure/np/kernel/
-/// seed_sample) into a MinerConfig. Unknown measure / kernel names are
-/// errors naming "config.measure" / "config.kernel" — never a silent
-/// fall back to the default.
+/// Parses the "config" object (depth/delta/alpha/top/measure/np/kernel)
+/// into a MinerConfig; other keys are ignored. Unknown measure / kernel
+/// names are errors naming "config.measure" / "config.kernel" — never a
+/// silent fall back to the default — and a depth or top that is not an
+/// integer in range names "config.depth" / "config.top".
 std::optional<WireError> ParseMinerConfig(const JsonValue& request,
                                           core::MinerConfig* out);
 
 /// Parses one "mine" request into a MineFrame: required dataset + group,
-/// engine resolution through the registry names, config, limits, burst
-/// rules. This is the one request codec behind every front end — the
-/// stdin server, the socket server and the CLI share it so they cannot
-/// drift.
+/// engine resolution through the registry names, config, and limits
+/// (deadline_ms / node_budget: non-negative integers); a repeat count
+/// above 1 is refused. This is the one request codec: the socket server
+/// and the CLI share it so they cannot drift.
 std::optional<WireError> ParseMineCall(const JsonValue& request,
                                        MineFrame* out);
 
@@ -122,15 +122,15 @@ void RenderStats(const ServerStats& stats, JsonObjectWriter* out);
 
 /// The "engines" op body: every EngineRegistry entry as
 /// {"name":...,"description":...} under "engines", plus the
-/// server-resolved "auto" under "aliases". Shared
-/// by the stdin and socket front ends and `sdadcs_tool --engine list`.
+/// server-resolved "auto" under "aliases". Shared by the socket front
+/// end and `sdadcs_tool --engine list`.
 void RenderEngines(JsonObjectWriter* out);
 
 /// The "emit":"patterns" body: the outcome's contrasts rendered against
-/// the resident dataset the result was mined from (attribute names live
-/// there). "" when the outcome has no result or the dataset has since
-/// been evicted.
-std::string RenderPatternsBody(Server& server, const MineCall& call,
+/// the dataset handle the mine resolved (outcome.dataset), with the
+/// call's groups from that handle's prepared bundle. "" when the
+/// outcome has no result.
+std::string RenderPatternsBody(const MineCall& call,
                                const MineOutcome& outcome);
 
 }  // namespace sdadcs::serve

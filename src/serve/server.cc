@@ -75,11 +75,6 @@ util::StatusOr<std::shared_ptr<const ServedDataset>> Server::Load(
 
 bool Server::Evict(const std::string& name) { return registry_.Evict(name); }
 
-util::StatusOr<std::shared_ptr<const ServedDataset>> Server::Dataset(
-    const std::string& name) {
-  return registry_.Get(name);
-}
-
 core::EngineKind Server::ResolveEngine(core::EngineKind requested,
                                        size_t rows) const {
   if (requested != core::EngineKind::kAuto) return requested;
@@ -159,6 +154,7 @@ MineOutcome Server::Mine(const MineCall& call) {
     outcome.status = ds.status();
     return finish(outcome);
   }
+  outcome.dataset = *ds;
 
   const core::EngineKind engine =
       ResolveEngine(call.engine, (*ds)->db.num_rows());
@@ -287,6 +283,7 @@ bool Server::TryCacheHit(const MineCall& call, MineOutcome* out) {
   outcome.engine = engine;
   outcome.key = key;
   outcome.result = std::move(result);
+  outcome.dataset = std::move(ds);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++requests_;

@@ -100,6 +100,10 @@ struct MineOutcome {
   /// engine); zero only when the call failed before the dataset lookup.
   core::RequestKey key;
   std::shared_ptr<const core::MiningResult> result;     ///< null unless kOk
+  /// The registry handle the call resolved (null when the lookup
+  /// failed). Patterns render against it, so a concurrent reload of the
+  /// same name cannot change the schema they are named from.
+  std::shared_ptr<const ServedDataset> dataset;
   double queue_seconds = 0.0;  ///< time spent in the admission queue
   double run_seconds = 0.0;    ///< time inside the mining engine
   double total_seconds = 0.0;  ///< end-to-end inside Server::Mine
@@ -141,12 +145,6 @@ class Server {
 
   /// Evicts `name` from the registry and its results from the cache.
   bool Evict(const std::string& name);
-
-  /// Resident dataset lookup (registry Get: counts a hit/miss and
-  /// refreshes recency). Front ends use it to render pattern bodies
-  /// against the dataset a result was mined from.
-  util::StatusOr<std::shared_ptr<const ServedDataset>> Dataset(
-      const std::string& name);
 
   /// Serves one mining request end to end: registry lookup, canonical
   /// cache key, single-flight coalescing, admission control, engine

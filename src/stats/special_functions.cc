@@ -85,7 +85,11 @@ double BetaContinuedFraction(double x, double a, double b) {
 
 double LogGamma(double x) {
   SDADCS_CHECK(x > 0.0);
-  return std::lgamma(x);
+  // lgamma_r is the same glibc routine as std::lgamma, but returns the
+  // sign through `sign` instead of writing the global `signgam`, which
+  // would race between mining threads.
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
 }
 
 double RegularizedGammaP(double a, double x) {

@@ -82,9 +82,9 @@ TEST(SampleGroupsTest, ZeroRejected) {
 }
 
 TEST(SampleGroupsTest, SampledRowsAreSubsetOfBaseWithSameLabels) {
-  // The seeding pre-pass re-scores sampled patterns on the full data, so
-  // every sampled row must be a real row of the base selection and keep
-  // its group assignment.
+  // Callers (stability resampling, `sdadcs_tool --sample`) mine the
+  // sample as a view of the full data, so every sampled row must be a
+  // real row of the base selection and keep its group assignment.
   GroupInfo gi = MakeGroups();
   auto sampled = SampleGroups(gi, 150, 13);
   ASSERT_TRUE(sampled.ok());

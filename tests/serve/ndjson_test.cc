@@ -43,6 +43,17 @@ TEST(JsonParseTest, ObjectAndTypedAccessors) {
   EXPECT_EQ(v->Find("missing"), nullptr);
 }
 
+TEST(JsonParseTest, GetIntFallsBackOnNonIntegralOrOutOfRangeNumbers) {
+  auto v = JsonValue::Parse(
+      R"({"huge":1e300,"tiny":-1e300,"half":2.5,"neg":-3,"edge":-9.223372036854775808e18})");
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->GetInt("huge", 7), 7);
+  EXPECT_EQ(v->GetInt("tiny", 7), 7);
+  EXPECT_EQ(v->GetInt("half", 7), 7);
+  EXPECT_EQ(v->GetInt("neg", 7), -3);
+  EXPECT_EQ(v->GetInt("edge", 7), INT64_MIN);
+}
+
 TEST(JsonParseTest, StringEscapes) {
   auto v = JsonValue::Parse(R"("a\"b\\c\/d\n\tAé")");
   ASSERT_TRUE(v.ok());

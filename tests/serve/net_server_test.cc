@@ -1,6 +1,7 @@
 // NetServer driven end to end through real TCP connections: the warm
 // fast path, pipelined cancellation, queue exits observed over the
-// wire, per-tenant quotas, protocol errors, and graceful drain.
+// wire, per-tenant quotas, protocol errors, anytime partial streaming,
+// and graceful drain.
 
 #include "serve/net_server.h"
 
@@ -103,7 +104,7 @@ TEST(NetServerTest, ProtocolErrorsKeepTheConnectionAlive) {
   EXPECT_EQ(invalid.Find("error")->GetString("code"), "invalid_argument");
   EXPECT_EQ(invalid.Find("error")->GetString("field"), "group");
 
-  // Burst is a stdin-transport knob; the socket rejects it by name.
+  // Concurrency comes from pipelining; a burst count is rejected by name.
   JsonValue burst =
       Call(client, Mine("b", R"({"depth":1})", R"(,"burst":4)"));
   EXPECT_EQ(burst.Find("error")->GetString("field"), "burst");
@@ -259,7 +260,7 @@ TEST(NetServerTest, StatsOpReportsNetCounters) {
   ASSERT_NE(net, nullptr);
   EXPECT_GE(net->GetNumber("connections_accepted", 0), 2.0);  // loader + us
   EXPECT_GE(net->GetNumber("mines_dispatched", 0), 1.0);
-  // The server-side sections are the same ones sdadcs_serve renders.
+  // The server-side sections come from the shared RenderStats.
   const JsonValue* registry = stats.Find("registry");
   ASSERT_NE(registry, nullptr);
   EXPECT_NE(stats.Find("admission"), nullptr);
@@ -268,6 +269,55 @@ TEST(NetServerTest, StatsOpReportsNetCounters) {
   EXPECT_EQ(registry->GetNumber("resident_chunk_bytes", -1), 0.0);
   EXPECT_EQ(registry->GetNumber("chunk_loads", -1), 0.0);
   EXPECT_EQ(registry->GetNumber("chunk_evictions", -1), 0.0);
+}
+
+// "anytime":true streams {"event":"partial"} frames for the request,
+// each tagged with the protocol version, the op and the request's id,
+// before its final response; streaming leaves the final patterns
+// unchanged.
+TEST(NetServerTest, AnytimeMineStreamsPartialsBeforeItsResponse) {
+  TestStack stack;
+  NetClient client = stack.Connect();
+  ASSERT_TRUE(client
+                  .Send(Mine("any", R"({"depth":2})",
+                             R"(,"anytime":true,"emit":"patterns")"))
+                  .ok());
+  int partials = 0;
+  std::string final_line;
+  while (final_line.empty()) {
+    auto line = client.ReadLine();
+    ASSERT_TRUE(line.ok()) << "connection closed after " << partials
+                           << " partials";
+    JsonValue frame = MustParse(*line);
+    if (frame.GetString("event") == "partial") {
+      EXPECT_EQ(static_cast<int64_t>(frame.GetNumber("v", 0)), 1);
+      EXPECT_EQ(frame.GetString("op"), "mine");
+      EXPECT_EQ(frame.GetString("id"), "any");
+      ++partials;
+    } else {
+      final_line = *line;
+    }
+  }
+  EXPECT_GE(partials, 1);
+  JsonValue final_response = MustParse(final_line);
+  EXPECT_EQ(final_response.GetString("id"), "any");
+  EXPECT_EQ(final_response.GetString("verdict"), "ok");
+  EXPECT_EQ(final_response.GetString("cache"), "miss");
+
+  // The same mine without anytime, run again rather than served from
+  // the cache. The patterns body is the last field of both responses.
+  ASSERT_TRUE(client
+                  .Send(Mine("plain", R"({"depth":2})",
+                             R"(,"emit":"patterns","cache":false)"))
+                  .ok());
+  auto plain_line = client.ReadLine();
+  ASSERT_TRUE(plain_line.ok());
+  EXPECT_EQ(MustParse(*plain_line).GetString("cache"), "bypass");
+  const size_t a = final_line.find("\"patterns\":");
+  const size_t b = plain_line->find("\"patterns\":");
+  ASSERT_NE(a, std::string::npos);
+  ASSERT_NE(b, std::string::npos);
+  EXPECT_EQ(final_line.substr(a), plain_line->substr(b));
 }
 
 TEST(NetServerTest, ConnectionLimitAnsweredWithBusy) {

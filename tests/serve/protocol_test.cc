@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -94,7 +95,6 @@ TEST(ParseMineCallTest, MinimalRequest) {
   EXPECT_FALSE(error.has_value());
   EXPECT_EQ(frame.call.dataset, "d");
   EXPECT_EQ(frame.call.group_attr, "class");
-  EXPECT_EQ(frame.burst, 1);
   EXPECT_TRUE(frame.call.use_cache);
   EXPECT_FALSE(frame.emit_patterns);
 }
@@ -197,29 +197,91 @@ TEST(ParseMineCallTest, UnknownMeasureKernelEngineAreErrors) {
   EXPECT_EQ(error->field, "engine");
 }
 
-TEST(ParseMineCallTest, BurstRules) {
+TEST(ParseMineCallTest, BurstAboveOneIsRejected) {
   MineFrame frame;
   auto error = ParseMineCall(
       Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
-            "\"burst\":257}"),
+            "\"burst\":4}"),
       &frame);
   ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->code, ErrorCode::kInvalidArgument);
   EXPECT_EQ(error->field, "burst");
 
-  error = ParseMineCall(
-      Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
-            "\"burst\":4,\"anytime\":true}"),
-      &frame);
-  ASSERT_TRUE(error.has_value());
-  EXPECT_EQ(error->field, "anytime");
+  // A count of one (or below) is a single request, as without the field.
+  for (const char* burst : {"1", "0"}) {
+    error = ParseMineCall(
+        Parse(std::string("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":"
+                          "\"g\",\"anytime\":true,\"burst\":") +
+              burst + "}"),
+        &frame);
+    EXPECT_FALSE(error.has_value()) << burst;
+  }
+}
 
-  // Sub-1 values clamp to a single request rather than erroring.
-  error = ParseMineCall(
+TEST(ParseMineCallTest, IntegerFieldsRejectNonIntegralOutOfRangeAndNegative) {
+  // Every integer field is read by one checked reader: a value that is
+  // not an integer in range answers invalid_argument naming the field,
+  // never a silent truncation or an undefined cast.
+  struct Case {
+    std::string fragment;
+    std::string field;
+  };
+  const std::vector<Case> cases = {
+      {"\"config\":{\"depth\":1e300}", "config.depth"},
+      {"\"config\":{\"depth\":2.5}", "config.depth"},
+      {"\"config\":{\"depth\":-1}", "config.depth"},
+      {"\"config\":{\"top\":1e300}", "config.top"},
+      {"\"config\":{\"top\":2.5}", "config.top"},
+      {"\"config\":{\"top\":-1}", "config.top"},
+      {"\"config\":{\"top\":\"10\"}", "config.top"},
+      {"\"deadline_ms\":1e300", "deadline_ms"},
+      {"\"deadline_ms\":2.5", "deadline_ms"},
+      {"\"deadline_ms\":-1", "deadline_ms"},
+      {"\"node_budget\":1e300", "node_budget"},
+      {"\"node_budget\":2.5", "node_budget"},
+      {"\"node_budget\":-1", "node_budget"},
+  };
+  for (const Case& c : cases) {
+    MineFrame frame;
+    auto error = ParseMineCall(
+        Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\"," +
+              c.fragment + "}"),
+        &frame);
+    ASSERT_TRUE(error.has_value()) << c.fragment;
+    EXPECT_EQ(error->code, ErrorCode::kInvalidArgument) << c.fragment;
+    EXPECT_EQ(error->field, c.field) << c.fragment;
+  }
+
+  MineFrame frame;
+  auto error = ParseMineCall(
       Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":\"g\","
-            "\"burst\":0}"),
+            "\"config\":{\"depth\":3,\"top\":7},\"deadline_ms\":250,"
+            "\"node_budget\":9007199254740992}"),
       &frame);
-  EXPECT_FALSE(error.has_value());
-  EXPECT_EQ(frame.burst, 1);
+  ASSERT_FALSE(error.has_value()) << error->ToText();
+  EXPECT_EQ(frame.call.config.max_depth, 3);
+  EXPECT_EQ(frame.call.config.top_k, 7);
+  EXPECT_EQ(frame.deadline_ms, 250);
+  EXPECT_EQ(frame.node_budget, uint64_t{1} << 53);
+}
+
+TEST(ParseMineCallTest, UnknownConfigKeysAreIgnored) {
+  // "seed_sample" named a removed speed knob; like any unknown config
+  // key it is ignored, so the parsed config equals one without it.
+  MineFrame with;
+  MineFrame without;
+  ASSERT_FALSE(ParseMineCall(
+                   Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":"
+                         "\"g\",\"config\":{\"depth\":2,"
+                         "\"seed_sample\":500}}"),
+                   &with)
+                   .has_value());
+  ASSERT_FALSE(ParseMineCall(
+                   Parse("{\"op\":\"mine\",\"dataset\":\"d\",\"group\":"
+                         "\"g\",\"config\":{\"depth\":2}}"),
+                   &without)
+                   .has_value());
+  EXPECT_EQ(with.call.config.Fingerprint(), without.call.config.Fingerprint());
 }
 
 TEST(EnumParsersTest, MeasureAndKernelNames) {
@@ -269,7 +331,7 @@ TEST(RenderMineOutcomeTest, PatternsResponseIsOneParseableLine) {
   ASSERT_FALSE(error.has_value()) << error->ToText();
   MineOutcome outcome = server.Mine(frame.call);
   ASSERT_EQ(outcome.verdict, Verdict::kOk) << outcome.status.ToString();
-  std::string patterns = RenderPatternsBody(server, frame.call, outcome);
+  std::string patterns = RenderPatternsBody(frame.call, outcome);
   ASSERT_FALSE(patterns.empty());
 
   JsonObjectWriter w = ResponseEnvelope(true, "mine");

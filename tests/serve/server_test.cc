@@ -6,6 +6,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -18,6 +19,7 @@
 #include "engine/registry.h"
 #include "gtest/gtest.h"
 #include "serve/dataset_registry.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "util/run_control.h"
 
@@ -413,6 +415,43 @@ TEST(ServerTest, ReplacingADatasetInvalidatesItsCachedResults) {
   MineOutcome gone = server.Mine(BreastCall());
   EXPECT_EQ(gone.verdict, Verdict::kError);
   EXPECT_EQ(gone.status.code(), util::StatusCode::kNotFound);
+}
+
+// The patterns body renders against the dataset handle the mine
+// resolved: reloading the same name between the mine and the render
+// changes neither the attribute names nor the groups it is rendered
+// with (a lookup by name would read the new schema, out of bounds).
+TEST(ServerTest, PatternsRenderFromTheMinedDatasetAfterAReplace) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Load("d", "synth:scaling:3000").ok());
+  MineCall call;
+  call.dataset = "d";
+  call.group_attr = "batch";
+  call.config = TestConfig();
+  call.config.max_depth = 1;
+  MineOutcome outcome = server.Mine(call);
+  ASSERT_EQ(outcome.verdict, Verdict::kOk) << outcome.status.ToString();
+  ASSERT_FALSE(outcome.result->contrasts.empty());
+  const std::string original = RenderPatternsBody(call, outcome);
+  ASSERT_NE(original.find("feat_"), std::string::npos) << original;
+
+  // The warm fast path carries the handle too.
+  MineOutcome hit;
+  ASSERT_TRUE(server.TryCacheHit(call, &hit));
+  EXPECT_EQ(RenderPatternsBody(call, hit), original);
+
+  const std::string path = testing::TempDir() + "server_test_replace.csv";
+  {
+    std::ofstream csv(path);
+    csv << "batch,x\nNormal,1\nAnomalous,2\nNormal,3\n";
+  }
+  ASSERT_TRUE(server.Load("d", path).ok());
+  EXPECT_EQ(RenderPatternsBody(call, outcome), original);
+  EXPECT_EQ(RenderPatternsBody(call, hit), original);
+
+  ASSERT_TRUE(server.Load("d", "synth:breast").ok());
+  EXPECT_EQ(RenderPatternsBody(call, outcome), original);
+  std::remove(path.c_str());
 }
 
 }  // namespace
